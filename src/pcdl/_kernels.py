@@ -1,162 +1,74 @@
-"""Per-trial Monte Carlo kernels for the link-level verification oracle.
+"""Gram-matrix kernels for the link-level verification oracle.
 
-One trial samples every small-scale channel, forms the contaminated MMSE
-estimates, applies the actual MRT or ZF precoder and produces, per cell j:
+Every oracle output at BS j is an inner product of the contaminated MMSE
+estimates ghat_jk = alpha_jkj * obs_jk and the receiver's channel
+g_rx = c_j * obs_ji + e_j. The kernels therefore take, per trial and cell,
+the (K+1) x (K+1) Gram matrix W of [obs_j1..obs_jK, e_j] (W[a, b] =
+x_a^H x_b) instead of M-dimensional vectors, form
+
+  G_kk' = alpha_k alpha_k' W[k, k']        (Gram of the estimates)
+  t_k   = alpha_k (c_j W[k, i] + W[k, K])  (ghat_k^H g_rx)
+
+and produce, per cell j:
 
   gain_j  = scale_j * g_rx^H w_{j,i}      (coefficient of the pilot partner)
   power_j = rho_d * ||x_j||^2 / K         (radiated per-user power check)
 
-plus the full received sample y. The randoms are drawn by the caller (numpy
-Generator, fixed order), so the numba and numpy paths consume identical
-streams; they differ only in floating-point reduction order.
-
-The jit path is the default when numba imports; set PCDL_NO_NUMBA=1 to force
-the pure-numpy path. `benchmarks/bench_kernels.py` times the two.
+plus the full received sample y. The randoms are drawn by the caller in a
+fixed order. Pure numpy; the cost per trial does not depend on M.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 COND_LIMIT = 1e12
 
-_use_numba = os.environ.get("PCDL_NO_NUMBA", "0") not in ("1", "true", "yes")
-if _use_numba:
-    try:
-        import numba
-    except ImportError:
-        _use_numba = False
+# Largest per-chunk complex temporary, in entries: 64 KiB, half of glibc's
+# default mmap threshold, so chunk buffers come from the heap and are not
+# mapped and page-faulted in afresh on every chunk.
+_CHUNK_ENTRIES = 4096
 
 
-def backend() -> str:
-    return "numba" if _use_numba else "numpy"
-
-
-def chunk_trials(L: int, K: int, M: int) -> int:
+def chunk_trials(L: int, K: int) -> int:
     """Trials per random-draw chunk. Deterministic in the problem shape only
-    (never in thread count or memory pressure), so accumulation order and the
-    generator stream are reproducible."""
-    per_trial = L * K * L * M
-    return int(np.clip(2_000_000 // max(per_trial, 1), 1, 256))
+    (never in M, thread count or memory pressure), so accumulation order and
+    the generator stream are reproducible."""
+    return int(np.clip(_CHUNK_ENTRIES // (L * (K + 1) ** 2), 1, 256))
 
 
-def _mrt_chunk_np(h, z, s, w, sqrt_beta, alpha_own, srp, i, l, scale, lam, rho_d):
-    c, L, K, _, M = h.shape
-    g = sqrt_beta[None, :, :, :, None] * h                    # (c,L,K,L,M)
-    ghat = alpha_own[None, :, :, None] * (srp * g.sum(axis=3) + z)  # (c,L,K,M)
-    grx = g[:, :, i, l, :]                                    # (c,L,M)    BS j -> receiver
-    row = np.einsum("cjkm,cjm->cjk", ghat.conj(), grx).conj()  # g_rx^H ghat_k
+def _estimate_gram(gram, alpha_own, c_rx, i):
+    """(G, t) per trial and cell from the observation Gram W (c, L, K+1, K+1)."""
+    K = alpha_own.shape[1]
+    a = alpha_own[None]                                       # (1,L,K)
+    G = a[..., :, None] * gram[..., :K, :K] * a[..., None, :]
+    t = a * (c_rx[None, :, None] * gram[..., :K, i] + gram[..., :K, K])
+    return G, t
+
+
+def _outputs(row, s, w, scale, i):
+    """gain and y from row_jk = g_rx^H v_jk."""
     gain = scale[None, :] * row[:, :, i]
     y = (scale[None, :] * np.einsum("cjk,cjk->cj", row, s)).sum(axis=1) + w
-    tx = np.einsum("cjkm,cjk->cjm", ghat, s)
-    power = rho_d * np.einsum("cjm,cjm->cj", tx, tx.conj()).real / (lam[None, :] * K)
+    return gain, y
+
+
+def mrt_chunk(gram, s, w, alpha_own, c_rx, i, scale, lam, rho_d):
+    G, t = _estimate_gram(gram, alpha_own, c_rx, i)
+    K = G.shape[-1]
+    gain, y = _outputs(t.conj(), s, w, scale, i)
+    tx2 = np.einsum("cjk,cjkl,cjl->cj", s.conj(), G, s).real  # ||sum_k ghat_k s_k||^2
+    power = rho_d * tx2 / (lam[None, :] * K)
     return gain, y, power
 
 
-def _zf_chunk_np(h, z, s, w, sqrt_beta, alpha_own, srp, i, l, scale, lam, rho_d):
-    c, L, K, _, M = h.shape
-    g = sqrt_beta[None, :, :, :, None] * h
-    ghat = alpha_own[None, :, :, None] * (srp * g.sum(axis=3) + z)  # (c,L,K,M)
-    ghat_mk = ghat.transpose(0, 1, 3, 2)                      # (c,L,M,K)
-    gram = np.einsum("cjmk,cjml->cjkl", ghat_mk.conj(), ghat_mk)
-    ev = np.linalg.eigvalsh(gram)
+def zf_chunk(gram, s, w, alpha_own, c_rx, i, scale, lam, rho_d):
+    G, t = _estimate_gram(gram, alpha_own, c_rx, i)
+    K = G.shape[-1]
+    ev = np.linalg.eigvalsh(G)
     if np.any(ev[..., 0] <= 0) or np.any(ev[..., -1] > COND_LIMIT * ev[..., 0]):
         raise np.linalg.LinAlgError("estimated channel matrix is rank deficient")
-    grx = g[:, :, i, l, :]
-    t = np.einsum("cjmk,cjm->cjk", ghat_mk.conj(), grx)
-    u = np.linalg.solve(gram, t[..., None])[..., 0]           # G^-1 ghat^H g_rx
-    row = u.conj()                                            # g_rx^H v_k
-    gain = scale[None, :] * row[:, :, i]
-    y = (scale[None, :] * np.einsum("cjk,cjk->cj", row, s)).sum(axis=1) + w
-    q = np.linalg.solve(gram, s[..., None])[..., 0]
-    power = rho_d * np.einsum("cjk,cjk->cj", s.conj(), q).real / (lam[None, :] * K)
+    uq = np.linalg.solve(G, np.stack((t, s), axis=-1))        # G^-1 [ghat^H g_rx, s]
+    gain, y = _outputs(uq[..., 0].conj(), s, w, scale, i)
+    power = rho_d * np.einsum("cjk,cjk->cj", s.conj(), uq[..., 1]).real / (lam[None, :] * K)
     return gain, y, power
-
-
-if _use_numba:
-
-    @numba.njit(cache=True)
-    def _mrt_chunk_nb(h, z, s, w, sqrt_beta, alpha_own, srp, i, l, scale, lam, rho_d):  # pragma: no cover
-        c, L, K, _, M = h.shape
-        gain = np.zeros((c, L), dtype=np.complex128)
-        y = np.zeros(c, dtype=np.complex128)
-        power = np.zeros((c, L))
-        ghat = np.zeros((M, K), dtype=np.complex128)
-        grx = np.zeros(M, dtype=np.complex128)
-        for t in range(c):
-            acc = 0.0 + 0.0j
-            for j in range(L):
-                for k in range(K):
-                    for m in range(M):
-                        pilot = 0.0 + 0.0j
-                        for lp in range(L):
-                            pilot += sqrt_beta[j, k, lp] * h[t, j, k, lp, m]
-                        ghat[m, k] = alpha_own[j, k] * (srp * pilot + z[t, j, k, m])
-                for m in range(M):
-                    grx[m] = sqrt_beta[j, i, l] * h[t, j, i, l, m]
-                cell = 0.0 + 0.0j
-                pw = 0.0
-                for k in range(K):
-                    r = 0.0 + 0.0j
-                    for m in range(M):
-                        r += np.conj(grx[m]) * ghat[m, k]
-                    cell += r * s[t, j, k]
-                    if k == i:
-                        gain[t, j] = scale[j] * r
-                for m in range(M):
-                    tx = 0.0 + 0.0j
-                    for k in range(K):
-                        tx += ghat[m, k] * s[t, j, k]
-                    pw += tx.real * tx.real + tx.imag * tx.imag
-                acc += scale[j] * cell
-                power[t, j] = rho_d * pw / (lam[j] * K)
-            y[t] = acc + w[t]
-        return gain, y, power
-
-    @numba.njit(cache=True)
-    def _zf_chunk_nb(h, z, s, w, sqrt_beta, alpha_own, srp, i, l, scale, lam, rho_d):  # pragma: no cover
-        c, L, K, _, M = h.shape
-        gain = np.zeros((c, L), dtype=np.complex128)
-        y = np.zeros(c, dtype=np.complex128)
-        power = np.zeros((c, L))
-        ghat = np.zeros((M, K), dtype=np.complex128)
-        grx = np.zeros(M, dtype=np.complex128)
-        for t in range(c):
-            acc = 0.0 + 0.0j
-            for j in range(L):
-                for k in range(K):
-                    for m in range(M):
-                        pilot = 0.0 + 0.0j
-                        for lp in range(L):
-                            pilot += sqrt_beta[j, k, lp] * h[t, j, k, lp, m]
-                        ghat[m, k] = alpha_own[j, k] * (srp * pilot + z[t, j, k, m])
-                for m in range(M):
-                    grx[m] = sqrt_beta[j, i, l] * h[t, j, i, l, m]
-                gram = ghat.conj().T @ ghat
-                ev = np.linalg.eigvalsh(gram)
-                if ev[0] <= 0.0 or ev[K - 1] > COND_LIMIT * ev[0]:
-                    raise np.linalg.LinAlgError("estimated channel matrix is rank deficient")
-                tvec = ghat.conj().T @ grx
-                u = np.linalg.solve(gram, tvec)
-                cell = 0.0 + 0.0j
-                for k in range(K):
-                    r = np.conj(u[k])
-                    cell += r * s[t, j, k]
-                    if k == i:
-                        gain[t, j] = scale[j] * r
-                q = np.linalg.solve(gram, s[t, j].copy())
-                pw = 0.0
-                for k in range(K):
-                    pw += (np.conj(s[t, j, k]) * q[k]).real
-                acc += scale[j] * cell
-                power[t, j] = rho_d * pw / (lam[j] * K)
-            y[t] = acc + w[t]
-        return gain, y, power
-
-    mrt_chunk = _mrt_chunk_nb
-    zf_chunk = _zf_chunk_nb
-else:
-    mrt_chunk = _mrt_chunk_np
-    zf_chunk = _zf_chunk_np

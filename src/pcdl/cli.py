@@ -20,8 +20,19 @@ from .estimation import compute_alpha
 from .geometry import ScenarioConfig, build_scenario, scenario_to_csv
 from .harness import (SweepConfig, emit_plot_script, load_sweep_config,
                       run_sweep, with_seed, write_sweep_csv)
-from .mc_oracle import verification_rows, write_report_csv
+from .mc_oracle import MIN_TRIALS, verification_rows, write_report_csv
 from .rate_core import Precoder
+
+
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_common(parser):
@@ -101,16 +112,18 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="run the antenna-count sweep")
     _add_common(p)
-    p.add_argument("--threads", type=int, default=1, help="drop-level workers")
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
+                   help="drop-level workers")
     p.add_argument("--plot-script", action="store_true",
                    help="also emit a standalone matplotlib script")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="Monte Carlo oracle report")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_int_at_least(MIN_TRIALS), default=10_000,
+                   help=f"trials per combo (>= {MIN_TRIALS})")
     p.add_argument("--m", default="64,256", help="comma list of antenna counts")
-    p.add_argument("--combos", type=int, default=6,
+    p.add_argument("--combos", type=_int_at_least(1), default=6,
                    help="random (drop, receiver, omega, precoder, M) draws")
     p.set_defaults(func=_cmd_verify)
 

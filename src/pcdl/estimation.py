@@ -27,6 +27,34 @@ def crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) * np.sqrt(0.5)
 
 
+def sample_gram(rng: np.random.Generator, var: np.ndarray, M: int,
+                trials: int) -> np.ndarray:
+    """Gram matrices of independent CN(0, var_a * I_M) vectors, without the vectors.
+
+    For n columns x_a with variances var[..., a], returns W[t, ..., a, b] =
+    x_a^H x_b for `trials` i.i.d. draws, shape (trials,) + var.shape[:-1] +
+    (n, n). W is complex Wishart(M, diag(var)), sampled by the Bartlett
+    decomposition W = d T^H T d with d = sqrt(var): T is upper trapezoidal
+    with min(M, n) rows, T_kk = sqrt(Gamma(M - k, 1)) and CN(0, 1) entries
+    above the diagonal. That is the R factor of the QR decomposition of an
+    M x n matrix of i.i.d. CN(0, 1) entries, whose Gram it shares, so the
+    law is exact for every M (rank min(M, n)) at O(n^2) draws per trial.
+    """
+    if M < 1:
+        raise ValueError(f"M={M} must be >= 1")
+    var = np.asarray(var, dtype=float)
+    n = var.shape[-1]
+    r = min(M, n)
+    shape = (trials,) + var.shape[:-1]
+    rows, cols = np.triu_indices(r, 1, n)
+    T = np.zeros(shape + (r, n), dtype=complex)
+    T[..., rows, cols] = crandn(rng, shape + (rows.size,))
+    diag = np.arange(r)
+    T[..., diag, diag] = np.sqrt(rng.standard_gamma(M - diag, size=shape + (r,)))
+    d = np.sqrt(var)
+    return d[..., :, None] * (T.conj().swapaxes(-1, -2) @ T) * d[..., None, :]
+
+
 def own_links(tensor: np.ndarray) -> np.ndarray:
     """Extract t[j, k, j] from an (L, K, L) tensor as an (L, K) array."""
     L = tensor.shape[0]

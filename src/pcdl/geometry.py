@@ -40,6 +40,10 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.L < 1:
             raise ValueError("L must be >= 1")
         if self.K < 1:

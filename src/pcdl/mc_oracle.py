@@ -1,6 +1,6 @@
 """Monte Carlo verification layer.
 
-Samples physical channels, applies the actual MRT/ZF precoders and estimates
+Samples the physical link, applies the actual MRT/ZF precoders and estimates
 the moments that the closed forms predict: the per-cell mean effective gain
 (vs theta), the variance of the residual after removing the coherent part
 (vs the power-decomposition noise sum) and the radiated per-user power
@@ -8,9 +8,14 @@ the moments that the closed forms predict: the per-cell mean effective gain
 batch means, and a |z| <= 5 rule separates formula bugs from Monte Carlo
 noise at the documented trial counts.
 
+Every output is a function of each BS's Gram matrix of its estimates and the
+receiver's channel, so a trial samples those (K+1) x (K+1) Gram matrices
+exactly (`estimation.sample_gram`) instead of M-dimensional channels; the
+cost of a trial does not depend on M. `estimation.sample_channels` with
+`zf_precoder` remains the vector path the sampler is tested against.
+
 Accumulation uses per-chunk partial sums combined with math.fsum in a fixed
-chunk order, so a given seed reproduces results bit-for-bit on either kernel
-backend (the two backends themselves differ by reduction order only).
+chunk order, so a given seed reproduces results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .estimation import EstimationStats, crandn, own_links
+from .estimation import EstimationStats, crandn, own_links, sample_gram
 from .geometry import NetworkScenario
 from .rate_core import Precoder, effective_gain, power_decomposition
 
 N_BATCHES = 10
+MIN_TRIALS = 1000  # for stable batch means
 COND_LIMIT = _kernels.COND_LIMIT
 
 
@@ -61,6 +67,25 @@ def _batch_bounds(trials: int) -> np.ndarray:
     return np.array([math.ceil(b * trials / N_BATCHES) for b in range(N_BATCHES + 1)])
 
 
+def _gram_law(scenario: NetworkScenario, receiver: tuple[int, int]):
+    """Per-BS variances (L, K+1) of [obs_j1..obs_jK, e_j] and c_j (L,).
+
+    obs_jk = sqrt(rho_p) * sum_l' g_jkl' + z_jk is the pilot observation, with
+    per-antenna variance D_jk = 1 + rho_p * sum_l' beta_jkl'. The receiver's
+    channel splits as g_rx = c_j * obs_ji + e_j with c_j = sqrt(rho_p) *
+    beta_jil / D_ji; e_j is independent of every observation and has variance
+    beta_jil * (1 + rho_p * sum_{l' != l} beta_jil') / D_ji. Taken from beta
+    and rho_p only, not from the closed-form statistics under test.
+    """
+    i, l = receiver
+    beta, rho_p = scenario.beta, scenario.rho_p
+    D = 1.0 + rho_p * beta.sum(axis=2)
+    b_rx = beta[:, i, l]
+    others = np.delete(beta[:, i, :], l, axis=1).sum(axis=1)
+    e_var = b_rx * (1.0 + rho_p * others) / D[:, i]
+    return np.concatenate([D, e_var[:, None]], axis=1), math.sqrt(rho_p) * b_rx / D[:, i]
+
+
 def _chunk_iter(scenario, stats, M, precoder, receiver, trials, rng):
     """Yield (t0, gain, y, power, s_i) per chunk of trials."""
     L, K = scenario.n_cells, scenario.users_per_cell
@@ -70,19 +95,17 @@ def _chunk_iter(scenario, stats, M, precoder, receiver, trials, rng):
     eff = effective_gain(scenario, stats, M, precoder, receiver)
     scale = np.sqrt(scenario.rho_d / eff.lam)
     kernel = _kernels.mrt_chunk if precoder is Precoder.MRT else _kernels.zf_chunk
-    sqrt_beta = np.sqrt(scenario.beta)
+    var, c_rx = _gram_law(scenario, receiver)
     alpha_own = own_links(stats.alpha)
-    srp = math.sqrt(scenario.rho_p)
-    chunk = _kernels.chunk_trials(L, K, M)
+    chunk = _kernels.chunk_trials(L, K)
     t0 = 0
     while t0 < trials:
         c = min(chunk, trials - t0)
-        h = crandn(rng, (c, L, K, L, M))
-        z = crandn(rng, (c, L, K, M))
+        gram = sample_gram(rng, var, M, c)
         s = crandn(rng, (c, L, K))
         w = crandn(rng, (c,))
-        gain, y, power = kernel(h, z, s, w, sqrt_beta, alpha_own, srp,
-                                i, l, scale, eff.lam, scenario.rho_d)
+        gain, y, power = kernel(gram, s, w, alpha_own, c_rx, i, scale, eff.lam,
+                                scenario.rho_d)
         yield t0, gain, y, power, s[:, :, i]
         t0 += c
 
@@ -100,8 +123,8 @@ def empirical_moments(scenario: NetworkScenario, stats: EstimationStats, M: int,
                       precoder: Precoder, receiver: tuple[int, int],
                       trials: int, rng: np.random.Generator) -> EmpiricalMoments:
     """Estimate the oracle moments at one receiver over i.i.d. trials."""
-    if trials < 1000:
-        raise ValueError("need at least 1000 trials for stable batch means")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for stable batch means")
     L = scenario.n_cells
     i, l = receiver
     theta = effective_gain(scenario, stats, M, precoder, receiver).theta

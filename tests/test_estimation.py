@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pcdl.estimation import compute_alpha, crandn, own_links, sample_channels
+from pcdl.estimation import (compute_alpha, crandn, own_links, sample_channels,
+                             sample_gram)
 from conftest import toy_scenario
 
 
@@ -126,3 +127,30 @@ def test_mmse_orthogonality_statistical(small_drop):
     for part in (inner.real, inner.imag):
         se = part.std(ddof=1) / math.sqrt(trials)
         assert abs(part.mean()) < 5 * se
+
+
+@pytest.mark.parametrize("M", [3, 64])
+def test_sample_gram_wishart_moments(M):
+    # complex Wishart(M, diag(var)): E[W] = M diag(var) and
+    # E|W_ab|^2 = M var_a var_b (+ M^2 var_a^2 on the diagonal);
+    # M = 3 < K + 1 = 5 is the rank-deficient branch
+    K, trials = 4, 20_000
+    var = np.array([0.5, 1.0, 2.0, 3.0, 0.25])
+    W = sample_gram(np.random.default_rng(M), var, M, trials)
+    n = K + 1
+    assert W.shape == (trials, n, n)
+    assert np.allclose(W, W.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
+    assert np.linalg.matrix_rank(W[0]) == min(M, n)
+    mean_expect = M * np.diag(var)
+    sq_expect = M * np.outer(var, var) + M * M * np.diag(var * var)
+
+    def z(samples, expect):
+        se = samples.std(axis=0, ddof=1) / math.sqrt(trials)
+        return (samples.mean(axis=0) - expect) / se
+
+    assert np.all(np.abs(z(W.real, mean_expect)) <= 5)
+    off = ~np.eye(n, dtype=bool)
+    assert np.all(np.abs(z(W.imag[:, off], 0.0)) <= 5)
+    assert np.all(np.abs(z(np.abs(W) ** 2, sq_expect)) <= 5)
+    with pytest.raises(ValueError, match="M=0 must be >= 1"):
+        sample_gram(np.random.default_rng(0), var, 0, 1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ def test_config_invariants():
         ScenarioConfig(n_drops=0)
     with pytest.raises(ValueError):
         ScenarioConfig(bs_total_power_w=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)
+                                  if isinstance(getattr(ScenarioConfig(), f.name), float)])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScenarioConfig(**{name: value})
 
 
 def test_users_inside_hexagon_with_distance_floor(paper_config):

@@ -192,3 +192,18 @@ def test_cli_seed_override(tmp_path):
     cli_main(["sweep", "--config", str(cfg), "--seed", "1", "--out", str(out1)])
     cli_main(["sweep", "--config", str(cfg), "--seed", "2", "--out", str(out2)])
     assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--combos", "0"], "argument --combos: must be >= 1, got 0"),
+    (["verify", "--trials", "10"], "argument --trials: must be >= 1000, got 10"),
+    (["sweep", "--threads", "0"], "argument --threads: must be >= 1, got 0"),
+    (["sweep", "--threads", "-3"], "argument --threads: must be >= 1, got -3"),
+])
+def test_cli_rejects_bad_counts(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

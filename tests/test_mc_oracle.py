@@ -5,8 +5,9 @@ import pytest
 
 from pcdl import _kernels
 from pcdl.estimation import crandn, own_links, sample_channels
-from pcdl.mc_oracle import (empirical_moments, hardening_check,
-                            verification_rows, write_report_csv, zf_precoder)
+from pcdl.mc_oracle import (_chunk_iter, _gram_law, empirical_moments,
+                            hardening_check, verification_rows,
+                            write_report_csv, zf_precoder)
 from pcdl.rate_core import Precoder, effective_gain, power_decomposition
 
 
@@ -81,38 +82,6 @@ def test_moments_deterministic_given_seed(small_drop):
     assert np.array_equal(a.power, b.power)
 
 
-def _chunk_inputs(scenario, stats, M, trials, seed):
-    L, K = scenario.n_cells, scenario.users_per_cell
-    rng = np.random.default_rng(seed)
-    h = crandn(rng, (trials, L, K, L, M))
-    z = crandn(rng, (trials, L, K, M))
-    s = crandn(rng, (trials, L, K))
-    w = crandn(rng, (trials,))
-    return h, z, s, w
-
-
-@pytest.mark.skipif(_kernels.backend() != "numba",
-                    reason="jit path disabled via PCDL_NO_NUMBA")
-@pytest.mark.parametrize("kind", ["mrt", "zf"])
-def test_kernel_backends_agree(small_drop, kind):
-    scenario, stats = small_drop
-    M = 12
-    h, z, s, w = _chunk_inputs(scenario, stats, M, 64, seed=3)
-    prec = Precoder.MRT if kind == "mrt" else Precoder.ZF
-    eff = effective_gain(scenario, stats, M, prec, (0, 0))
-    scale = np.sqrt(scenario.rho_d / eff.lam)
-    args = (h, z, s, w, np.sqrt(scenario.beta), own_links(stats.alpha),
-            math.sqrt(scenario.rho_p), 0, 0, scale, eff.lam, scenario.rho_d)
-    if kind == "mrt":
-        out_nb = _kernels._mrt_chunk_nb(*args)
-        out_np = _kernels._mrt_chunk_np(*args)
-    else:
-        out_nb = _kernels._zf_chunk_nb(*args)
-        out_np = _kernels._zf_chunk_np(*args)
-    for a, b in zip(out_nb, out_np):
-        assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
-
-
 def test_moments_single_cell_single_user():
     # L = 1 and K = 1 exercise the kernels' degenerate shapes
     from conftest import toy_scenario
@@ -127,10 +96,21 @@ def test_moments_single_cell_single_user():
         assert abs(mom.power[0] - scenario.rho_d) < 5 * mom.power_se[0]
 
 
-def test_chunk_rule_shape_only():
-    assert _kernels.chunk_trials(2, 15, 64) == _kernels.chunk_trials(2, 15, 64)
-    assert _kernels.chunk_trials(2, 15, 4096) >= 1
-    assert _kernels.chunk_trials(2, 15, 16) <= 256
+def test_chunk_rule_shape_only(small_drop):
+    scenario, stats = small_drop
+    L, K = scenario.n_cells, scenario.users_per_cell
+
+    def sizes(M):
+        return [y.shape[0] for _, _, y, _, _ in _chunk_iter(
+            scenario, stats, M, Precoder.MRT, (0, 0), 1000, np.random.default_rng(0))]
+
+    assert sizes(16) == sizes(10**6)
+    assert sizes(16)[0] == _kernels.chunk_trials(L, K)
+    # temporaries stay small: a chunk's Gram matrices fit the entry budget
+    for shape in [(2, 15), (2, 4), (3, 30), (1, 1)]:
+        c = _kernels.chunk_trials(*shape)
+        assert 1 <= c <= 256
+        assert c * shape[0] * (shape[1] + 1) ** 2 <= _kernels._CHUNK_ENTRIES
 
 
 def test_hardening_deviation_decreases(small_drop):
@@ -142,17 +122,16 @@ def test_hardening_deviation_decreases(small_drop):
 
 
 def test_zf_gram_guard_in_kernel():
-    # unit gains and duplicated pilot draws force identical estimate columns
+    # two identical observation columns make the estimate Gram singular
     L, K, M = 2, 3, 8
     rng = np.random.default_rng(4)
-    h = crandn(rng, (1, L, K, L, M))
-    h[:, :, 1] = h[:, :, 0]  # pilot 2's channels duplicate pilot 1's
-    z = np.zeros((1, L, K, M), dtype=complex)
+    x = crandn(rng, (1, L, M, K + 1))
+    x[..., 1] = x[..., 0]
+    gram = x.conj().swapaxes(-1, -2) @ x
     s = crandn(rng, (1, L, K))
     w = crandn(rng, (1,))
-    args = (h, z, s, w, np.ones((L, K, L)), np.ones((L, K)),
-            1.0, 0, 0, np.ones(L), np.ones(L), 1.0)
-    with pytest.raises(Exception, match="rank deficient"):
+    args = (gram, s, w, np.ones((L, K)), np.ones(L), 0, np.ones(L), np.ones(L), 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
         _kernels.zf_chunk(*args)
 
 
@@ -182,3 +161,99 @@ def test_verification_rows_and_csv(tmp_path, small_drop):
     assert lines[0] == "quantity,closed_form,empirical,std_err,z_score,pass"
     assert len(lines) == 1 + len(rows)
     assert lines[1].endswith(",true")
+
+
+def _vector_trial(real, s, w, scenario, eff, precoder, receiver):
+    """gain (L,), y and power (L,) of one trial from full M-vectors: the
+    precoder applied to real.g_hat and the received sample over real.g."""
+    L, K = scenario.n_cells, scenario.users_per_cell
+    i, l = receiver
+    scale = np.sqrt(scenario.rho_d / eff.lam)
+    gain = np.empty(L, dtype=complex)
+    power = np.empty(L)
+    y = w
+    for j in range(L):
+        ghat = real.g_hat[j].T                                  # (M, K)
+        v = ghat if precoder is Precoder.MRT else zf_precoder(ghat)
+        row = real.g[j, i, l].conj() @ v                        # g_rx^H v_k
+        gain[j] = scale[j] * row[i]
+        y = y + scale[j] * row @ s[j]
+        tx = v @ s[j]
+        power[j] = scenario.rho_d * np.vdot(tx, tx).real / (eff.lam[j] * K)
+    return gain, y, power
+
+
+@pytest.mark.parametrize("precoder", [Precoder.MRT, Precoder.ZF])
+def test_kernels_match_vector_algebra(small_drop, precoder):
+    # the Gram of [obs_j1..obs_jK, e_j] built from sampled vectors gives the
+    # kernels the same outputs as the precoder applied to those vectors
+    scenario, stats = small_drop
+    L, K = scenario.n_cells, scenario.users_per_cell
+    M, receiver, trials = 12, (1, 0), 5
+    i, l = receiver
+    eff = effective_gain(scenario, stats, M, precoder, receiver)
+    _, c_rx = _gram_law(scenario, receiver)
+    rng = np.random.default_rng(11)
+    reals = [sample_channels(scenario, stats, M, rng) for _ in range(trials)]
+    s = crandn(rng, (trials, L, K))
+    w = crandn(rng, (trials,))
+    x = np.empty((trials, L, M, K + 1), dtype=complex)
+    for t, real in enumerate(reals):
+        obs = real.pilot_observation(scenario.rho_p)            # (L, K, M)
+        x[t, :, :, :K] = obs.transpose(0, 2, 1)
+        x[t, :, :, K] = real.g[:, i, l] - c_rx[:, None] * obs[:, i]
+    gram = x.conj().swapaxes(-1, -2) @ x
+    kernel = _kernels.mrt_chunk if precoder is Precoder.MRT else _kernels.zf_chunk
+    gain, y, power = kernel(gram, s, w, own_links(stats.alpha), c_rx, i,
+                            np.sqrt(scenario.rho_d / eff.lam), eff.lam,
+                            scenario.rho_d)
+    for t, real in enumerate(reals):
+        g_v, y_v, p_v = _vector_trial(real, s[t], w[t], scenario, eff, precoder,
+                                      receiver)
+        assert np.allclose(gain[t], g_v, rtol=1e-9, atol=0)
+        assert np.isclose(y[t], y_v, rtol=1e-9, atol=0)
+        assert np.allclose(power[t], p_v, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("precoder", [Precoder.MRT, Precoder.ZF])
+@pytest.mark.parametrize("M", [64, 256])
+def test_gram_sampler_matches_vector_path(small_drop, precoder, M):
+    # two-sample |z| <= 5 on the gain, noise and power means
+    scenario, stats = small_drop
+    L = scenario.n_cells
+    receiver, trials = (1, 1), 2000
+    i, l = receiver
+    eff = effective_gain(scenario, stats, M, precoder, receiver)
+    mom = empirical_moments(scenario, stats, M, precoder, receiver, 4000,
+                            np.random.default_rng(M))
+    rng = np.random.default_rng(1000 + M)
+    gain = np.empty((trials, L))
+    noise = np.empty(trials)
+    power = np.empty((trials, L))
+    for t in range(trials):
+        real = sample_channels(scenario, stats, M, rng)
+        s = crandn(rng, (L, scenario.users_per_cell))
+        w = crandn(rng, ())
+        g, y, p = _vector_trial(real, s, w, scenario, eff, precoder, receiver)
+        gain[t], power[t] = g.real, p
+        noise[t] = abs(y - eff.theta @ s[:, i]) ** 2
+
+    def z(vec_samples, mean, se):
+        vec_se = vec_samples.std(axis=0, ddof=1) / math.sqrt(trials)
+        return (mean - vec_samples.mean(axis=0)) / np.hypot(se, vec_se)
+
+    assert np.all(np.abs(z(gain, mom.mean_gain, mom.gain_se)) <= 5)
+    assert abs(z(noise, mom.noise_var, mom.noise_se)) <= 5
+    assert np.all(np.abs(z(power, mom.power, mom.power_se)) <= 5)
+
+
+@pytest.mark.parametrize("precoder", [Precoder.MRT, Precoder.ZF])
+@pytest.mark.parametrize("M", [10**4, 10**6])
+def test_oracle_large_m(paper_drop, precoder, M):
+    # the regime of criteria 5 and 6, reachable since a trial's cost is M-free
+    scenario, stats = paper_drop
+    rows = verification_rows(scenario, stats, M, precoder, (0, 1), (0, 1),
+                             10_000, np.random.default_rng(7))
+    assert len(rows) == 6
+    assert all(r.passed for r in rows), [(r.quantity, r.z_score) for r in rows
+                                         if not r.passed]
