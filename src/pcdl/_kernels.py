@@ -16,6 +16,12 @@ and produce, per cell j:
 
 plus the full received sample y. The randoms are drawn by the caller in a
 fixed order. Pure numpy; the cost per trial does not depend on M.
+
+ZF needs G^-1. zf_chunk rejects its chunk as rank deficient when any trial's
+G has an eigenvalue <= 0 or lambda_max > COND_LIMIT * lambda_min. It settles
+that without eigenvalues for almost every trial: the one LU solve that gives
+G^-1 t and G^-1 s also gives G^-1, and ||G||_F ||G^-1||_F bounds cond_2(G).
+Only the trials that bound cannot clear go to eigvalsh.
 """
 
 from __future__ import annotations
@@ -62,13 +68,43 @@ def mrt_chunk(gram, s, w, alpha_own, c_rx, i, scale, lam, rho_d):
     return gain, y, power
 
 
+def _well_conditioned(G, G_inv):
+    """Per trial, whether ||G||_F ||G^-1||_F <= COND_LIMIT / 2.
+
+    The product bounds cond_2(G) from above. Half the limit leaves room for
+    the rounding of the computed inverse (relative error about cond * eps,
+    1e-4 at the limit), so an accepted G has cond_2 <= COND_LIMIT. G is a
+    Gram matrix, so rounding can push an eigenvalue below zero only by about
+    K * eps * tr G, while an accepted G keeps every |eigenvalue| above
+    tr G / (sqrt(K) * COND_LIMIT): an accepted G is positive definite too.
+    NaN and inf products fail.
+    """
+    def fro2(X):
+        Xr = X.view(np.float64)
+        return np.einsum("...ij,...ij->...", Xr, Xr)
+    return fro2(G) * fro2(G_inv) <= (0.5 * COND_LIMIT) ** 2
+
+
 def zf_chunk(gram, s, w, alpha_own, c_rx, i, scale, lam, rho_d):
     G, t = _estimate_gram(gram, alpha_own, c_rx, i)
     K = G.shape[-1]
-    ev = np.linalg.eigvalsh(G)
-    if np.any(ev[..., 0] <= 0) or np.any(ev[..., -1] > COND_LIMIT * ev[..., 0]):
-        raise np.linalg.LinAlgError("estimated channel matrix is rank deficient")
-    uq = np.linalg.solve(G, np.stack((t, s), axis=-1))        # G^-1 [ghat^H g_rx, s]
+    # one LU solve gives G^-1 [ghat^H g_rx, s] and G^-1 itself for the guard
+    rhs = np.empty(G.shape[:-1] + (K + 2,), dtype=complex)
+    rhs[..., 0] = t
+    rhs[..., 1] = s
+    rhs[..., 2:] = np.eye(K)
+    try:
+        sol = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("estimated channel matrix is rank deficient") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        unsure = ~_well_conditioned(G, sol[..., 2:])
+    if unsure.any():
+        # the bound cannot clear these trials: decide by the exact eigenvalues
+        ev = np.linalg.eigvalsh(G[unsure])
+        if np.any(ev[:, 0] <= 0) or np.any(ev[:, -1] > COND_LIMIT * ev[:, 0]):
+            raise np.linalg.LinAlgError("estimated channel matrix is rank deficient")
+    uq = sol[..., :2]
     gain, y = _outputs(uq[..., 0].conj(), s, w, scale, i)
     power = rho_d * np.einsum("cjk,cjk->cj", s.conj(), uq[..., 1]).real / (lam[None, :] * K)
     return gain, y, power

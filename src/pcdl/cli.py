@@ -41,17 +41,29 @@ def _add_common(parser):
     parser.add_argument("--out", help="output CSV path")
 
 
+def _load_config(path: str) -> SweepConfig:
+    """The config file at `path`; exit with status 2 and a one-line message
+    if it cannot be read or the config classes reject it."""
+    try:
+        return load_sweep_config(path)
+    except (OSError, ValueError) as exc:
+        msg = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+        if not msg.startswith(f"{path}:"):
+            msg = f"{path}: {msg}"
+        print(f"pcdl: error: {msg}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _scenario_config(args) -> ScenarioConfig:
     # sweep config files (with m_values etc.) are accepted here too
-    cfg = (load_sweep_config(args.config).scenario if args.config
-           else ScenarioConfig())
+    cfg = _load_config(args.config).scenario if args.config else ScenarioConfig()
     if args.seed is not None:
         cfg = ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
     return cfg
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_sweep_config(args.config) if args.config else SweepConfig()
+    cfg = _load_config(args.config) if args.config else SweepConfig()
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
     out = args.out or "sweep.csv"

@@ -13,6 +13,7 @@ beta_jkj*(1 - sqrt(rho_p)*alpha_jkj).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,17 @@ def crandn(rng: np.random.Generator, shape) -> np.ndarray:
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) * np.sqrt(0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def _bartlett_indices(r: int, n: int):
+    """(rows, cols) above the diagonal and the diagonal of an r x n
+    upper-trapezoidal matrix, read-only."""
+    rows, cols = np.triu_indices(r, 1, n)
+    diag = np.arange(r)
+    for a in (rows, cols, diag):
+        a.flags.writeable = False
+    return rows, cols, diag
 
 
 def sample_gram(rng: np.random.Generator, var: np.ndarray, M: int,
@@ -46,10 +58,9 @@ def sample_gram(rng: np.random.Generator, var: np.ndarray, M: int,
     n = var.shape[-1]
     r = min(M, n)
     shape = (trials,) + var.shape[:-1]
-    rows, cols = np.triu_indices(r, 1, n)
+    rows, cols, diag = _bartlett_indices(r, n)
     T = np.zeros(shape + (r, n), dtype=complex)
     T[..., rows, cols] = crandn(rng, shape + (rows.size,))
-    diag = np.arange(r)
     T[..., diag, diag] = np.sqrt(rng.standard_gamma(M - diag, size=shape + (r,)))
     d = np.sqrt(var)
     return d[..., :, None] * (T.conj().swapaxes(-1, -2) @ T) * d[..., None, :]

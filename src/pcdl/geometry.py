@@ -191,7 +191,8 @@ _INT_FIELDS = {"L", "K", "n_drops", "seed"}
 
 
 def parse_key_values(path: str) -> dict:
-    """Plain-text "key = value" file, '#' comments, blank lines ignored."""
+    """Plain-text "key = value" file, '#' comments, blank lines ignored; a
+    key may appear once."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -200,8 +201,10 @@ def parse_key_values(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key '{key}'")
+            out[key] = val
     return out
 
 

@@ -10,7 +10,6 @@ how the drops were scheduled.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -101,6 +100,8 @@ def _evaluate_drop(config: SweepConfig, drop: int) -> dict:
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     n = config.scenario.n_drops
     if threads > 1:
+        # imported here: it costs every start-up of pcdl about 2 MB and 20 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             drops = list(pool.map(_evaluate_drop, [config] * n, range(n), chunksize=4))
     else:

@@ -20,6 +20,7 @@ chunk order, so a given seed reproduces results bit-for-bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -110,13 +111,33 @@ def _chunk_iter(scenario, stats, M, precoder, receiver, trials, rng):
         t0 += c
 
 
-def _fsum_batches(parts: list[np.ndarray]) -> np.ndarray:
-    """Compensated cross-chunk reduction of (N_BATCHES, ...) partial sums."""
-    stacked = np.stack(parts)
-    out = np.empty(stacked.shape[1:])
-    for idx in np.ndindex(out.shape):
-        out[idx] = math.fsum(stacked[(slice(None),) + idx])
-    return out
+def _batch_segments(bounds: list[int], t0: int, c: int) -> tuple[int, list[int]]:
+    """(first batch, segment starts) of the chunk of trials [t0, t0 + c): the
+    chunk's trials from each start to the next fall into one batch."""
+    first = bisect.bisect_right(bounds, t0) - 1
+    last = bisect.bisect_right(bounds, t0 + c - 1) - 1
+    return first, [0] + [bounds[b] - t0 for b in range(first + 1, last + 1)]
+
+
+def _batch_sums(chunks, theta: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per batch, the sums of [gain.real (L), |w'|^2, power (L)] over its
+    trials, shape (N_BATCHES, 2L + 1), with w' = y - sum_j theta_j s_j[i].
+
+    Each chunk is summed per batch segment by one reduceat. Across chunks,
+    each batch's partial sums are combined by math.fsum in chunk order.
+    """
+    edges = bounds.tolist()
+    parts = [[] for _ in range(N_BATCHES)]
+    for t0, gain, y, power, s_i in chunks:
+        wprime = y - s_i @ theta
+        cols = np.column_stack((gain.real, wprime.real ** 2 + wprime.imag ** 2, power))
+        first, starts = _batch_segments(edges, t0, y.shape[0])
+        # Python floats, not array views: a view keeps each chunk's small
+        # result buffer on the heap among the chunks' large temporaries, and
+        # the heap then grows and faults pages in afresh
+        for b, row in enumerate(np.add.reduceat(cols, starts, axis=0).tolist(), first):
+            parts[b].append(row)
+    return np.array([[math.fsum(col) for col in zip(*rows)] for rows in parts])
 
 
 def empirical_moments(scenario: NetworkScenario, stats: EstimationStats, M: int,
@@ -126,33 +147,11 @@ def empirical_moments(scenario: NetworkScenario, stats: EstimationStats, M: int,
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for stable batch means")
     L = scenario.n_cells
-    i, l = receiver
     theta = effective_gain(scenario, stats, M, precoder, receiver).theta
     bounds = _batch_bounds(trials)
-
-    gain_parts, noise_parts, power_parts = [], [], []
-    for t0, gain, y, power, s_i in _chunk_iter(scenario, stats, M, precoder,
-                                               receiver, trials, rng):
-        c = y.shape[0]
-        wprime = y - s_i @ theta
-        gp = np.zeros((N_BATCHES, L))
-        npow = np.zeros(N_BATCHES)
-        pp = np.zeros((N_BATCHES, L))
-        lo = np.clip(bounds[:-1] - t0, 0, c)
-        hi = np.clip(bounds[1:] - t0, 0, c)
-        for b in range(N_BATCHES):
-            if hi[b] > lo[b]:
-                seg = slice(lo[b], hi[b])
-                gp[b] = gain[seg].real.sum(axis=0)
-                npow[b] = (wprime[seg].real ** 2 + wprime[seg].imag ** 2).sum()
-                pp[b] = power[seg].sum(axis=0)
-        gain_parts.append(gp)
-        noise_parts.append(npow)
-        power_parts.append(pp)
-
-    gain_sums = _fsum_batches(gain_parts)
-    noise_sums = _fsum_batches(noise_parts)
-    power_sums = _fsum_batches(power_parts)
+    sums = _batch_sums(_chunk_iter(scenario, stats, M, precoder, receiver, trials, rng),
+                       theta, bounds)
+    gain_sums, noise_sums, power_sums = sums[:, :L], sums[:, L], sums[:, L + 1:]
     counts = (bounds[1:] - bounds[:-1]).astype(float)
 
     def stats_of(sums):

@@ -14,7 +14,10 @@ S_j = theta_j^2 and effective noise N):
        region is the standard 7-inequality superposition region; the split
        pair (mu1, mu2) is optimized on a grid.
 
-The network symmetric rate is the minimum over the two receivers.
+The network symmetric rate is the minimum over the two receivers. SND and PD
+are floored at TIN, whose point both regions contain; a floor that would
+correct more than CLAMP_TOL_BITS raises instead, since that is a fault in
+the formula, not rounding.
 """
 
 from __future__ import annotations
@@ -173,6 +176,21 @@ def sym_rate_sd(scenario: NetworkScenario, stats: EstimationStats, M: int,
     return best
 
 
+CLAMP_TOL_BITS = 1e-12  # largest correction a floor at TIN may make, in bits
+
+
+def _check_clamp(what: str, gap: float, precoder: Precoder, M: int, i: int,
+                 cells: tuple[int, ...]) -> None:
+    """Raise if a floor at the TIN rate would lift `what` by `gap` bits at
+    the receivers (i, l), l in `cells`."""
+    if gap > CLAMP_TOL_BITS:
+        receivers = " and ".join(f"({i + 1},{l + 1})" for l in cells)
+        raise ArithmeticError(
+            f"{what} is {gap:.3g} bits below TIN at M={M}, {precoder.name}, "
+            f"receiver {receivers}; the floor absorbs rounding only "
+            f"(<= {CLAMP_TOL_BITS:g} bits)")
+
+
 def _snd_at_receiver(i_own: float, i_oth: float, i_12: float) -> float:
     """max R with R <= i_own and R + min(R, i_oth) <= i_12."""
     return min(i_own, i_12 - min(i_oth, 0.5 * i_12))
@@ -189,8 +207,10 @@ def sym_rate_snd(scenario: NetworkScenario, stats: EstimationStats, M: int,
         i_own, i_oth = ((mi.i_1_given_2, mi.i_2_given_1) if l == 0
                         else (mi.i_2_given_1, mi.i_1_given_2))
         r = _snd_at_receiver(i_own, i_oth, mi.i_12)
+        tin = tin_lb(scenario, stats, M, precoder, (i, l))
         # region contains the TIN point; floor guards the log-identity rounding
-        rates.append(max(r, tin_lb(scenario, stats, M, precoder, (i, l))))
+        _check_clamp("SND", tin - r, precoder, M, i, (l,))
+        rates.append(max(r, tin))
     return min(rates)
 
 
@@ -277,6 +297,8 @@ def sym_rate_pd(scenario: NetworkScenario, stats: EstimationStats, M: int,
     # rounding.
     tin_corner = min(capacity_bits(s1[0] / (n1 + s1[1])),
                      capacity_bits(s2[0] / (n2 + s2[1])))
+    _check_clamp("PD grid corner (1, 1)", tin_corner - values[-1, -1], precoder, M,
+                 i, (0, 1))
     if tin_corner > values[-1, -1]:
         values[-1, -1] = tin_corner
 

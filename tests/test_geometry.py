@@ -179,6 +179,13 @@ def test_config_bad_line(tmp_path):
         parse_key_values(str(path))
 
 
+def test_config_duplicate_key(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("K = 5\nseed = 3\n  K=6  # again\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"dup.cfg:3: duplicate key 'K'"):
+        parse_key_values(str(path))
+
+
 def test_scenario_csv_dump(tmp_path, paper_drop):
     scenario, _ = paper_drop
     out = tmp_path / "drop.csv"

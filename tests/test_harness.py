@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pcdl
 from pcdl.cli import main as cli_main
 from pcdl.geometry import ScenarioConfig
 from pcdl.harness import (SweepConfig, emit_plot_script, load_sweep_config,
@@ -207,3 +212,32 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("n_drops = 2\nm_values = 32, 64\nbs_total_power_w = nan\n",
+     "{path}: bs_total_power_w must be finite, got nan"),
+    ("n_drops = 2\nK = 4\nK = 5\n", "{path}:3: duplicate key 'K'"),
+    ("n_drops = 2\nradius = 400\n", "{path}: unknown sweep key: radius"),
+])
+@pytest.mark.parametrize("command", ["sweep", "verify", "scenario"])
+def test_cli_rejects_bad_config_file(tmp_path, capsys, lines, message, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(lines, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"pcdl: error: {message.format(path=cfg)}\n"
+    assert not out.exists()
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only run_sweep(threads > 1) needs it; every start-up would pay for it
+    src = os.path.dirname(os.path.dirname(pcdl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, pcdl.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -5,9 +5,9 @@ import pytest
 
 from pcdl import _kernels
 from pcdl.estimation import crandn, own_links, sample_channels
-from pcdl.mc_oracle import (_chunk_iter, _gram_law, empirical_moments,
-                            hardening_check, verification_rows,
-                            write_report_csv, zf_precoder)
+from pcdl.mc_oracle import (N_BATCHES, _batch_bounds, _batch_sums, _chunk_iter,
+                            _gram_law, empirical_moments, hardening_check,
+                            verification_rows, write_report_csv, zf_precoder)
 from pcdl.rate_core import Precoder, effective_gain, power_decomposition
 
 
@@ -133,6 +133,111 @@ def test_zf_gram_guard_in_kernel():
     args = (gram, s, w, np.ones((L, K)), np.ones(L), 0, np.ones(L), np.ones(L), 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
         _kernels.zf_chunk(*args)
+
+
+def _hermitian_with_spectrum(ev, rng):
+    """U diag(ev) U^H for a random unitary U."""
+    n = len(ev)
+    U, _ = np.linalg.qr(crandn(rng, (n, n)))
+    G = (U * np.asarray(ev)) @ U.conj().T
+    return 0.5 * (G + G.conj().T)
+
+
+def _guard_case(name):
+    """(estimate Gram G, eigvalsh calls the guard may make) of a named case."""
+    K = 15
+    rng = np.random.default_rng(12)
+    if name == "cond 1e11":   # the Frobenius bound clears it alone
+        return _hermitian_with_spectrum(np.logspace(0, -11, K), rng), {0}
+    if name == "cond 9e11":   # clustered small eigenvalues: the bound reads
+        # ||G||_F ||G^-1||_F = 3.4e12, so only the eigenvalues clear it
+        return _hermitian_with_spectrum([1.0] + [1 / 9e11] * (K - 1), rng), {1}
+    if name == "cond 1e13":
+        return _hermitian_with_spectrum(np.logspace(0, -13, K), rng), {1}
+    x = crandn(rng, (64, K))  # cond inf: two identical columns; the solve
+    x[:, 1] = x[:, 0]         # may meet an exact zero pivot first
+    return x.conj().T @ x, {0, 1}
+
+
+@pytest.mark.parametrize("case", ["cond 1e11", "cond 9e11", "cond 1e13", "cond inf"])
+def test_zf_guard_decides_like_eigenvalue_rule(monkeypatch, case):
+    G, allowed_calls = _guard_case(case)
+    K = G.shape[-1]
+    ev = np.linalg.eigvalsh(G)
+    reject = ev[0] <= 0 or ev[-1] > _kernels.COND_LIMIT * ev[0]
+    assert reject == (case in ("cond 1e13", "cond inf"))
+
+    # unit alphas, c_j and scale make G the kernel's estimate Gram
+    gram = np.zeros((1, 1, K + 1, K + 1), dtype=complex)
+    gram[0, 0, :K, :K] = G
+    gram[0, 0, K, K] = 1.0
+    rng = np.random.default_rng(3)
+    args = (gram, crandn(rng, (1, 1, K)), crandn(rng, (1,)), np.ones((1, K)),
+            np.ones(1), 0, np.ones(1), np.ones(1), 1.0)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    if reject:
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            _kernels.zf_chunk(*args)
+    else:
+        _kernels.zf_chunk(*args)
+    assert len(calls) in allowed_calls
+
+
+@pytest.mark.parametrize("M", [64, 256])
+def test_zf_oracle_needs_no_eigenvalues(monkeypatch, small_drop, M):
+    scenario, stats = small_drop
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    rows = verification_rows(scenario, stats, M, Precoder.ZF, (1, 0), (0, 1), 1000,
+                             np.random.default_rng(M))
+    assert len(rows) == 6
+    assert calls == []
+
+
+def _per_batch_loop(chunks, theta, bounds, L):
+    """Batch sums as a per-chunk loop over the batches, with math.fsum over
+    the chunks per entry: the reference for the one-pass accumulation."""
+    parts = []
+    for t0, gain, y, power, s_i in chunks:
+        c = y.shape[0]
+        wprime = y - s_i @ theta
+        part = np.zeros((N_BATCHES, 2 * L + 1))
+        lo = np.clip(bounds[:-1] - t0, 0, c)
+        hi = np.clip(bounds[1:] - t0, 0, c)
+        for b in range(N_BATCHES):
+            if hi[b] > lo[b]:
+                seg = slice(lo[b], hi[b])
+                part[b, :L] = gain[seg].real.sum(axis=0)
+                part[b, L] = (wprime[seg].real ** 2 + wprime[seg].imag ** 2).sum()
+                part[b, L + 1:] = power[seg].sum(axis=0)
+        parts.append(part)
+    stacked = np.stack(parts)
+    out = np.empty(stacked.shape[1:])
+    for idx in np.ndindex(out.shape):
+        out[idx] = math.fsum(stacked[(slice(None),) + idx])
+    return out
+
+
+@pytest.mark.parametrize("trials", [1000, 1003])
+def test_batch_sums_match_per_batch_loop(small_drop, trials):
+    # chunks of chunk_trials(L, K) trials do not align with the batch bounds
+    scenario, stats = small_drop
+    L = scenario.n_cells
+    bounds = _batch_bounds(trials)
+    assert any(b % _kernels.chunk_trials(L, scenario.users_per_cell) for b in bounds)
+    theta = effective_gain(scenario, stats, 16, Precoder.ZF, (0, 1)).theta
+
+    def chunks():
+        return _chunk_iter(scenario, stats, 16, Precoder.ZF, (0, 1), trials,
+                           np.random.default_rng(trials))
+
+    got = _batch_sums(chunks(), theta, bounds)
+    want = _per_batch_loop(chunks(), theta, bounds, L)
+    assert got.shape == (N_BATCHES, 2 * L + 1)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_oracle_vs_sampled_realization_consistency(small_drop):

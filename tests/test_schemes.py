@@ -5,7 +5,8 @@ import pytest
 
 from pcdl.estimation import compute_alpha
 from pcdl.geometry import build_scenario
-from pcdl.rate_core import Precoder, link_budget
+from pcdl.rate_core import Precoder, link_budget, tin_lb
+from pcdl import schemes
 from pcdl.schemes import (MiTerms2, PdSplit, RateRegion2, RegionConstraint,
                           _pd_symmetric_grid, _snd_at_receiver, intersect,
                           mi_terms, pd_mi_terms, pd_terms_from_budget,
@@ -300,3 +301,36 @@ def test_containment_chain_every_drop(paper_config):
                 assert snd >= tin
                 assert snd >= sd
                 assert 0.0 <= sd and math.isfinite(pd)
+
+
+def test_snd_floor_rejects_a_real_deficit(monkeypatch, paper_drop):
+    # on drop 0 the SND region's best point is the TIN point, so the floor
+    # only absorbs rounding; a value 1e-9 bits low must raise, not be floored
+    scenario, stats = paper_drop
+    M, prec = 256, Precoder.ZF
+    mi = mi_terms(scenario, stats, M, prec, 0, 0)
+    r = _snd_at_receiver(mi.i_1_given_2, mi.i_2_given_1, mi.i_12)
+    assert abs(r - tin_lb(scenario, stats, M, prec, (0, 0))) <= 1e-12
+    sym_rate_snd(scenario, stats, M, prec, 0)
+
+    original = schemes._snd_at_receiver
+    monkeypatch.setattr(schemes, "_snd_at_receiver",
+                        lambda *args: original(*args) - 1e-9)
+    with pytest.raises(ArithmeticError, match=r"SND is 1e-09 bits below TIN at "
+                       r"M=256, ZF, receiver \(1,1\)"):
+        sym_rate_snd(scenario, stats, M, prec, 0)
+
+
+def test_pd_corner_floor_rejects_a_real_deficit(monkeypatch, paper_drop):
+    scenario, stats = paper_drop
+    original = schemes._pd_symmetric_grid
+
+    def low_corner(*args):
+        values = original(*args)
+        values[-1, -1] -= 1e-9
+        return values
+
+    monkeypatch.setattr(schemes, "_pd_symmetric_grid", low_corner)
+    with pytest.raises(ArithmeticError, match=r"PD grid corner \(1, 1\) is 1e-09 bits "
+                       r"below TIN at M=64, MRT, receiver \(2,1\) and \(2,2\)"):
+        sym_rate_pd(scenario, stats, 64, Precoder.MRT, 1, grid=5)
