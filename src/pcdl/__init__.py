@@ -2,31 +2,28 @@
 symmetric spectral efficiencies for TIN/SD/SND/PD under MRT and ZF precoding,
 validated by a Monte Carlo channel-sampling oracle."""
 
-from .estimation import (ChannelRealization, EstimationStats, compute_alpha,
-                         sample_channels)
+from .estimation import EstimationStats, compute_alpha
 from .geometry import (NetworkScenario, ScenarioConfig, build_beta,
                        build_scenario, path_loss_db, place_users)
 from .harness import SweepConfig, SweepResult, run_sweep, write_sweep_csv
-from .mc_oracle import (EmpiricalMoments, empirical_moments, hardening_check,
-                        zf_precoder)
-from .rate_core import (EffectiveChannel, PowerDecomposition, Precoder, c_lb,
-                        effective_gain, lambda_mrt, lambda_zf,
-                        power_decomposition_mrt, power_decomposition_zf, tin_lb)
-from .schemes import (MiTerms2, PdSplit, RateRegion2, mi_terms, pd_mi_terms,
-                      sym_rate_pd, sym_rate_sd, sym_rate_snd, sym_rate_tin)
+from .mc_oracle import EmpiricalMoments, empirical_moments
+from .rate_core import (EffectiveChannel, PowerDecomposition, Precoder,
+                        effective_gain, lambda_mrt, lambda_zf, link_budget,
+                        power_decomposition_mrt, power_decomposition_zf)
+from .schemes import (PdSplit, sym_rate_pd, sym_rate_sd, sym_rate_snd,
+                      sym_rate_tin)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelRealization", "EstimationStats", "compute_alpha", "sample_channels",
+    "EstimationStats", "compute_alpha",
     "NetworkScenario", "ScenarioConfig", "build_beta", "build_scenario",
     "path_loss_db", "place_users",
     "SweepConfig", "SweepResult", "run_sweep", "write_sweep_csv",
-    "EmpiricalMoments", "empirical_moments", "hardening_check", "zf_precoder",
-    "EffectiveChannel", "PowerDecomposition", "Precoder", "c_lb",
-    "effective_gain", "lambda_mrt", "lambda_zf", "power_decomposition_mrt",
-    "power_decomposition_zf", "tin_lb",
-    "MiTerms2", "PdSplit", "RateRegion2", "mi_terms", "pd_mi_terms",
-    "sym_rate_pd", "sym_rate_sd", "sym_rate_snd", "sym_rate_tin",
+    "EmpiricalMoments", "empirical_moments",
+    "EffectiveChannel", "PowerDecomposition", "Precoder",
+    "effective_gain", "lambda_mrt", "lambda_zf", "link_budget",
+    "power_decomposition_mrt", "power_decomposition_zf",
+    "PdSplit", "sym_rate_pd", "sym_rate_sd", "sym_rate_snd", "sym_rate_tin",
     "__version__",
 ]

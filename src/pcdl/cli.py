@@ -13,13 +13,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import NoReturn
 
 import numpy as np
 
 from .estimation import compute_alpha
 from .geometry import ScenarioConfig, build_scenario, scenario_to_csv
 from .harness import (SweepConfig, emit_plot_script, load_sweep_config,
-                      run_sweep, with_seed, write_sweep_csv)
+                      parse_antenna_count, run_sweep, with_seed,
+                      write_sweep_csv)
 from .mc_oracle import MIN_TRIALS, verification_rows, write_report_csv
 from .rate_core import Precoder
 
@@ -41,6 +43,12 @@ def _add_common(parser):
     parser.add_argument("--out", help="output CSV path")
 
 
+def _fail(msg: str) -> NoReturn:
+    """End the run with exit status 2 and the one-line message `msg`."""
+    print(f"pcdl: error: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_config(path: str) -> SweepConfig:
     """The config file at `path`; exit with status 2 and a one-line message
     if it cannot be read or the config classes reject it."""
@@ -48,10 +56,24 @@ def _load_config(path: str) -> SweepConfig:
         return load_sweep_config(path)
     except (OSError, ValueError) as exc:
         msg = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
-        if not msg.startswith(f"{path}:"):
-            msg = f"{path}: {msg}"
-        print(f"pcdl: error: {msg}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _fail(msg if msg.startswith(f"{path}:") else f"{path}: {msg}")
+
+
+def _verify_m_values(text: str, K: int) -> list[int]:
+    """The --m antenna counts. Each must exceed K + 1: ZF needs M > K, and at
+    M = K + 1 its noise and power rows have infinite variance, so their
+    batch-means z-scores mean nothing. Exit with status 2 otherwise."""
+    values = []
+    for entry in text.split(","):
+        try:
+            M = parse_antenna_count(entry)
+        except ValueError as exc:
+            _fail(f"--m: {exc}")
+        if M <= K + 1:
+            _fail(f"--m: M = {M} must exceed K + 1 = {K + 1} (ZF's noise and "
+                  f"power rows have infinite variance at M <= K + 1)")
+        values.append(M)
+    return values
 
 
 def _scenario_config(args) -> ScenarioConfig:
@@ -81,7 +103,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _scenario_config(args)
-    m_values = [int(v) for v in args.m.split(",")]
+    m_values = _verify_m_values(args.m, cfg.K)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 0xC0FFEE)))
     rows = []
     for _ in range(args.combos):

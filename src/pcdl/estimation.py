@@ -1,4 +1,5 @@
-"""MMSE channel estimation statistics under pilot re-use, plus channel sampling.
+"""MMSE channel estimation statistics under pilot re-use, plus the Gram-matrix
+sampler of the Monte Carlo oracle.
 
 Every cell re-uses the same K orthogonal pilots, so BS j's estimate of its
 user k is contaminated by the pilot-k users of all other cells:
@@ -98,55 +99,3 @@ def compute_alpha(scenario: NetworkScenario) -> EstimationStats:
     est_var = srp * beta * alpha
     err_var = own_links(beta) * (1.0 - srp * own_links(alpha))
     return EstimationStats(alpha=alpha, est_var=est_var, err_var=err_var)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One small-scale fading realization with the matching MMSE estimates.
-
-    g[j, k, l] is the true M-dim channel from BS j to user k of cell l,
-    g_hat[j, k] the estimate BS j forms for its own user k, eps the error
-    g[j, k, j] - g_hat[j, k], and pilot_noise[j, k] the shared pilot noise
-    vector of pilot k at BS j.
-    """
-
-    M: int
-    g: np.ndarray            # (L, K, L, M) complex
-    g_hat: np.ndarray        # (L, K, M) complex
-    eps: np.ndarray          # (L, K, M) complex
-    pilot_noise: np.ndarray  # (L, K, M) complex
-    alpha: np.ndarray        # (L, K, L), kept for cross-estimate reconstruction
-
-    def pilot_observation(self, rho_p: float) -> np.ndarray:
-        """sqrt(rho_p) * sum_l g[j, k, l] + z[j, k], shape (L, K, M)."""
-        return np.sqrt(rho_p) * self.g.sum(axis=2) + self.pilot_noise
-
-    def cross_estimate(self, j: int, k: int, l: int, rho_p: float) -> np.ndarray:
-        """Estimate BS j would form for the pilot-k user of cell l.
-
-        Shares the pilot observation with g_hat[j, k], so it is collinear
-        with g_hat[j, k] with ratio beta[j,k,l] / beta[j,k,j].
-        """
-        obs = np.sqrt(rho_p) * self.g[j, k].sum(axis=0) + self.pilot_noise[j, k]
-        return self.alpha[j, k, l] * obs
-
-
-def sample_channels(scenario: NetworkScenario, stats: EstimationStats,
-                    M: int, rng: np.random.Generator) -> ChannelRealization:
-    """Draw i.i.d. Rayleigh channels and build the contaminated MMSE estimates.
-
-    Draw order (h then pilot noise) is fixed so a seeded generator reproduces
-    the realization exactly.
-    """
-    L, K = scenario.n_cells, scenario.users_per_cell
-    if M < K:
-        raise ValueError(f"M={M} must be >= K={K}")
-    h = crandn(rng, (L, K, L, M))
-    z = crandn(rng, (L, K, M))
-    g = np.sqrt(scenario.beta)[:, :, :, None] * h
-    srp = np.sqrt(scenario.rho_p)
-    obs = srp * g.sum(axis=2) + z
-    g_hat = own_links(stats.alpha)[:, :, None] * obs
-    eps = own_links(g) - g_hat
-    return ChannelRealization(M=M, g=g, g_hat=g_hat, eps=eps,
-                              pilot_noise=z, alpha=stats.alpha)

@@ -218,10 +218,6 @@ def scenario_config_from_dict(kv: dict) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def load_scenario_config(path: str) -> ScenarioConfig:
-    return scenario_config_from_dict(parse_key_values(path))
-
-
 def scenario_to_csv(scenario: NetworkScenario, path: str) -> None:
     """Dump one drop: row per user, beta columns per BS in dB."""
     L, K = scenario.n_cells, scenario.users_per_cell

@@ -10,6 +10,7 @@ how the drops were scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -36,6 +37,9 @@ class SweepConfig:
     mu_grid: int = 21
 
     def __post_init__(self):
+        for name in ("m_values", "schemes", "precoders"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if list(self.m_values) != sorted(set(self.m_values)):
             raise ValueError("m_values must be strictly ascending")
         for s in self.schemes:
@@ -143,6 +147,22 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 _SWEEP_KEYS = {"m_values", "schemes", "precoders", "pilot_index", "mu_grid"}
 
 
+def parse_antenna_count(text: str) -> int:
+    """An antenna count written as an integer ("1000000") or as a float with
+    an integral value ("1e6"); anything else raises ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise ValueError(f"antenna count {text.strip()!r} is not an integer")
+    return int(value)
+
+
 def sweep_config_from_dict(kv: dict) -> SweepConfig:
     scen_names = {f.name for f in fields(ScenarioConfig)}
     scen_kv = {k: v for k, v in kv.items() if k in scen_names}
@@ -152,7 +172,7 @@ def sweep_config_from_dict(kv: dict) -> SweepConfig:
         if key not in _SWEEP_KEYS:
             raise ValueError(f"unknown sweep key: {key}")
         if key == "m_values":
-            kwargs[key] = tuple(int(float(v)) for v in val.split(","))
+            kwargs[key] = tuple(parse_antenna_count(v) for v in val.split(","))
         elif key in ("schemes", "precoders"):
             kwargs[key] = tuple(v.strip().upper() for v in val.split(","))
         else:

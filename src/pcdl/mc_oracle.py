@@ -11,8 +11,8 @@ noise at the documented trial counts.
 Every output is a function of each BS's Gram matrix of its estimates and the
 receiver's channel, so a trial samples those (K+1) x (K+1) Gram matrices
 exactly (`estimation.sample_gram`) instead of M-dimensional channels; the
-cost of a trial does not depend on M. `estimation.sample_channels` with
-`zf_precoder` remains the vector path the sampler is tested against.
+cost of a trial does not depend on M. The tests hold the sampler against
+M-dimensional channels and an explicit ZF precoder (`tests/reference.py`).
 
 Accumulation uses per-chunk partial sums combined with math.fsum in a fixed
 chunk order, so a given seed reproduces results bit-for-bit.
@@ -33,21 +33,6 @@ from .rate_core import Precoder, effective_gain, power_decomposition
 
 N_BATCHES = 10
 MIN_TRIALS = 1000  # for stable batch means
-COND_LIMIT = _kernels.COND_LIMIT
-
-
-def zf_precoder(g_hat: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse precoder V with V^H g_hat = I_K.
-
-    Gram system solved by factorization; inputs with condition number beyond
-    COND_LIMIT are rejected.
-    """
-    if g_hat.ndim != 2 or g_hat.shape[0] < g_hat.shape[1]:
-        raise ValueError("g_hat must be an M x K matrix with M >= K")
-    gram = g_hat.conj().T @ g_hat
-    if np.linalg.cond(gram) > COND_LIMIT:
-        raise np.linalg.LinAlgError("estimated channel matrix is rank deficient")
-    return np.linalg.solve(gram, g_hat.conj().T).conj().T
 
 
 @dataclass(frozen=True)
@@ -168,32 +153,6 @@ def empirical_moments(scenario: NetworkScenario, stats: EstimationStats, M: int,
                             power=power, power_se=power_se, trials=trials)
 
 
-def hardening_check(scenario: NetworkScenario, stats: EstimationStats,
-                    m_values: list[int], trials: int, rng: np.random.Generator,
-                    receiver: tuple[int, int] = (0, 0)) -> list[tuple[int, float]]:
-    """Mean relative deviation of y/sqrt(M) from its large-M limit, per M.
-
-    The limit is sum_j (theta_j / sqrt(M)) s_j[i], whose coefficients do not
-    depend on M; deviations must shrink as M grows.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if any(b <= a for a, b in zip(m_values, m_values[1:])):
-        raise ValueError("m_values must be strictly increasing")
-    out = []
-    for M in m_values:
-        theta = effective_gain(scenario, stats, M, Precoder.MRT, receiver).theta
-        coeff = theta / math.sqrt(M)
-        parts = []
-        for _, _, y, _, s_i in _chunk_iter(scenario, stats, M, Precoder.MRT,
-                                           receiver, trials, rng):
-            limit = s_i @ coeff
-            dev = np.abs(y / math.sqrt(M) - limit) / np.abs(limit)
-            parts.append(dev.sum())
-        out.append((M, math.fsum(parts) / trials))
-    return out
-
-
 @dataclass(frozen=True)
 class ReportRow:
     quantity: str
@@ -239,8 +198,16 @@ def verification_rows(scenario: NetworkScenario, stats: EstimationStats, M: int,
 
 
 def write_report_csv(rows: list[ReportRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("quantity,closed_form,empirical,std_err,z_score,pass\n")
+    """One CSV row per check; quantity names hold commas and are quoted."""
+    # imported here: imported with the module, csv changes the heap layout
+    # that the oracle's chunks later run in, and their first page faults
+    # rose by a fifth to a half in the oracle benchmarks (CHANGES.md)
+    import csv
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["quantity", "closed_form", "empirical", "std_err",
+                         "z_score", "pass"])
         for r in rows:
-            fh.write(f"{r.quantity},{r.closed_form!r},{r.empirical!r},"
-                     f"{r.std_err!r},{r.z_score!r},{str(r.passed).lower()}\n")
+            writer.writerow([r.quantity, repr(r.closed_form), repr(r.empirical),
+                             repr(r.std_err), repr(r.z_score), str(r.passed).lower()])

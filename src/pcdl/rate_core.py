@@ -1,5 +1,5 @@
 """Closed-form link analysis: precoder normalizations, effective channel gains,
-power decompositions and the worst-case-noise rate lower bounds.
+power decompositions and the per-receiver link budget.
 
 After linear precoding, the signal a user receives on its pilot-sharing set
 collapses to an effective scalar multiple-access channel
@@ -10,7 +10,10 @@ where theta_j is the deterministic mean effective gain of cell j's signal and
 w' lumps beamforming-gain uncertainty, other-user interference and thermal
 noise. Replacing w' by a Gaussian of equal variance gives achievable-rate
 lower bounds C(P1 / P_noise) for any decode set Omega, with P1 the coherent
-power of the decoded signals and P_noise the variance of w'.
+power of the decoded signals and P_noise the variance of w'. P_noise does
+not depend on Omega and P1 = sum_{j in Omega} theta_j^2, so one link budget
+per receiver, (theta, P_noise), fixes every bound; `schemes` reads nothing
+else.
 
 All sums run in linear scale with compensated summation (math.fsum); beta
 entries span ten-plus orders of magnitude.
@@ -124,9 +127,8 @@ def power_decomposition_mrt(scenario: NetworkScenario, stats: EstimationStats,
                             omega: Iterable[int]) -> PowerDecomposition:
     """Four-term MRT power split for decode set omega at receiver (i, l).
 
-    p2 is computed as the two-part sum (variance of the contaminated-estimate
-    inner product plus the estimation-error leakage); the compact single-term
-    form is exposed separately as p2_mrt_compact and equals it identically.
+    p2 is computed as the two-part sum: the variance of the contaminated-estimate
+    inner product plus the estimation-error leakage.
     """
     i, l = receiver
     L = scenario.n_cells
@@ -151,23 +153,6 @@ def power_decomposition_mrt(scenario: NetworkScenario, stats: EstimationStats,
         p3_terms.append(M * scale * beta[j, i, l] * other)
     return PowerDecomposition(p1=math.fsum(p1_terms), p2=math.fsum(p2_terms),
                               p3=math.fsum(p3_terms), p4=1.0, omega=omega)
-
-
-def p2_mrt_compact(scenario: NetworkScenario, stats: EstimationStats,
-                   M: int, receiver: tuple[int, int]) -> float:
-    """Single-term MRT uncertainty power M * sum_j rho_d*gamma_ji*beta_jil/lam_j.
-
-    Cross-check for the two-part sum in power_decomposition_mrt; the two agree
-    because alpha[j,i,l] / alpha[j,i,j] = beta[j,i,l] / beta[j,i,j].
-    """
-    i, l = receiver
-    beta = scenario.beta
-    gam = stats.gamma()
-    terms = []
-    for j in range(scenario.n_cells):
-        lam = lambda_mrt(scenario, stats, M, j)
-        terms.append(M * (scenario.rho_d / lam) * gam[j, i] * beta[j, i, l])
-    return math.fsum(terms)
 
 
 def power_decomposition_zf(scenario: NetworkScenario, stats: EstimationStats,
@@ -203,13 +188,6 @@ def power_decomposition(scenario: NetworkScenario, stats: EstimationStats,
     return power_decomposition_zf(scenario, stats, M, receiver, omega)
 
 
-def c_lb(pd: PowerDecomposition) -> float:
-    """Achievable-rate lower bound C(p1 / noise) in bits/s/Hz."""
-    if pd.p1 == 0.0:
-        return 0.0
-    return capacity_bits(pd.p1 / pd.noise)
-
-
 def link_budget(scenario: NetworkScenario, stats: EstimationStats, M: int,
                 precoder: Precoder, receiver: tuple[int, int]):
     """(theta, effective noise power) at one receiver; the common input of
@@ -217,18 +195,6 @@ def link_budget(scenario: NetworkScenario, stats: EstimationStats, M: int,
     eff = effective_gain(scenario, stats, M, precoder, receiver)
     pd = power_decomposition(scenario, stats, M, precoder, receiver, omega=())
     return eff.theta, pd.noise
-
-
-def tin_lb(scenario: NetworkScenario, stats: EstimationStats, M: int,
-           precoder: Precoder, receiver: tuple[int, int]) -> float:
-    """Rate of decoding only the own-cell signal, all coherent interferers
-    absorbed into the worst-case noise: C(S_l / (N + sum_{j != l} S_j))."""
-    i, l = receiver
-    theta, noise = link_budget(scenario, stats, M, precoder, receiver)
-    s_own = float(theta[l]) ** 2
-    denom = math.fsum([noise] + [float(theta[j]) ** 2
-                                 for j in range(len(theta)) if j != l])
-    return capacity_bits(s_own / denom)
 
 
 def _check_omega(omega: frozenset, L: int) -> None:

@@ -2,7 +2,9 @@
 interference-management schemes.
 
 All schemes consume the same per-receiver link budget (coherent powers
-S_j = theta_j^2 and effective noise N):
+S_j = theta_j^2 and effective noise N), read from `rate_core.link_budget`
+once per receiver in each call. N does not depend on the decode set, so a
+decode set omega gets the bound C(sum_{j in omega} S_j / N):
 
   TIN  decode own signal, interferer in the noise.
   SD   jointly and uniquely decode both signals (MAC diagonal point).
@@ -25,25 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .estimation import EstimationStats
 from .geometry import NetworkScenario
-from .rate_core import (Precoder, c_lb, capacity_bits, link_budget,
-                        power_decomposition, tin_lb)
-
-
-@dataclass(frozen=True)
-class MiTerms2:
-    """2-cell mutual-information lower bounds at one receiver, network-numbered:
-    index 1 = cell 1's signal, index 2 = cell 2's signal."""
-
-    receiver: tuple[int, int]
-    i_1_given_2: float
-    i_2_given_1: float
-    i_12: float
+from .rate_core import Precoder, capacity_bits, link_budget
 
 
 @dataclass(frozen=True)
@@ -58,106 +47,32 @@ class PdSplit:
             raise ValueError("power split fractions must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class PdMiTerms:
-    """Layered-input rate bounds at one receiver for a fixed split.
-
-    r_full:        own signal (both layers), interferer inner layer known
-    r_outer:       own outer layer, both inner layers known
-    r_full_joint:  own signal jointly with the interferer inner layer
-    r_outer_joint: own outer layer jointly with the interferer inner layer
-    """
-
-    r_full: float
-    r_outer: float
-    r_full_joint: float
-    r_outer_joint: float
+def _budgets(scenario: NetworkScenario, stats: EstimationStats, M: int,
+             precoder: Precoder, i: int) -> list[tuple[list[float], float]]:
+    """Link budget (S, N) of each receiver (i, l), l = 0..L-1: the coherent
+    powers S_j = theta_j^2 of every cell's signal and the effective noise N."""
+    out = []
+    for l in range(scenario.n_cells):
+        theta, noise = link_budget(scenario, stats, M, precoder, (i, l))
+        out.append(([float(t) ** 2 for t in theta], noise))
+    return out
 
 
-@dataclass(frozen=True)
-class RegionConstraint:
-    """coef1*R1 + coef2*R2 <= bound, with an optional min-form second slope:
-    coef1*R1 + min(coef2*R2, min_form) <= bound."""
-
-    coef1: int
-    coef2: int
-    bound: float
-    min_form: Optional[float] = None
+def _decode_bound(S: list[float], N: float, omega) -> float:
+    """C(p1 / N) with p1 = sum of S_j over the decode set omega."""
+    return capacity_bits(math.fsum(S[j] for j in omega) / N)
 
 
-@dataclass(frozen=True)
-class RateRegion2:
-    """A 2-cell rate region as a finite constraint list (downward closed,
-    contains the origin)."""
-
-    constraints: tuple[RegionConstraint, ...]
-
-    def feasible(self, r1: float, r2: float) -> bool:
-        if r1 < 0.0 or r2 < 0.0:
-            return False
-        for c in self.constraints:
-            second = c.coef2 * r2
-            if c.min_form is not None:
-                second = min(second, c.min_form)
-            if c.coef1 * r1 + second > c.bound:
-                return False
-        return True
-
-    def max_symmetric(self, tol: float = 1e-12) -> float:
-        """Largest R with (R, R) feasible, by bisection."""
-        hi = max((c.bound for c in self.constraints), default=0.0)
-        if hi <= 0.0 or not self.feasible(0.0, 0.0):
-            return 0.0
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.feasible(mid, mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
-def mi_terms(scenario: NetworkScenario, stats: EstimationStats, M: int,
-             precoder: Precoder, i: int, receiver_cell: int) -> MiTerms2:
-    """The three decode-set bounds at receiver (i, receiver_cell)."""
-    if scenario.n_cells != 2:
-        raise ValueError("MiTerms2 is defined for the 2-cell system")
-    rcvr = (i, receiver_cell)
-    args = (scenario, stats, M, precoder, rcvr)
-    return MiTerms2(
-        receiver=rcvr,
-        i_1_given_2=c_lb(power_decomposition(*args, omega=(0,))),
-        i_2_given_1=c_lb(power_decomposition(*args, omega=(1,))),
-        i_12=c_lb(power_decomposition(*args, omega=(0, 1))),
-    )
-
-
-def snd_region(mi: MiTerms2, own_cell: int) -> RateRegion2:
-    """Non-unique-decoding region at one receiver (own_cell in {0, 1})."""
-    if own_cell == 0:
-        i_own, i_oth = mi.i_1_given_2, mi.i_2_given_1
-        own, oth = (1, 0), (0, 1)
-    else:
-        i_own, i_oth = mi.i_2_given_1, mi.i_1_given_2
-        own, oth = (0, 1), (1, 0)
-    return RateRegion2(constraints=(
-        RegionConstraint(coef1=own[0], coef2=own[1], bound=i_own),
-        RegionConstraint(coef1=own[0] + oth[0], coef2=own[1] + oth[1],
-                         bound=mi.i_12, min_form=i_oth),
-    ))
-
-
-def intersect(*regions: RateRegion2) -> RateRegion2:
-    cons = tuple(itertools.chain.from_iterable(r.constraints for r in regions))
-    return RateRegion2(constraints=cons)
+def _tin(S: list[float], N: float, l: int) -> float:
+    """Receiver l decodes its own signal, every other cell's in the noise."""
+    return capacity_bits(S[l] / math.fsum([N] + [s for j, s in enumerate(S) if j != l]))
 
 
 def sym_rate_tin(scenario: NetworkScenario, stats: EstimationStats, M: int,
                  precoder: Precoder, i: int) -> float:
     """Worst receiver's treat-interference-as-noise rate."""
-    return min(tin_lb(scenario, stats, M, precoder, (i, l))
-               for l in range(scenario.n_cells))
+    return min(_tin(S, N, l)
+               for l, (S, N) in enumerate(_budgets(scenario, stats, M, precoder, i)))
 
 
 def sym_rate_sd(scenario: NetworkScenario, stats: EstimationStats, M: int,
@@ -166,13 +81,11 @@ def sym_rate_sd(scenario: NetworkScenario, stats: EstimationStats, M: int,
     L = scenario.n_cells
     if L < 2:
         raise ValueError("SD needs at least two cells")
-    cells = range(L)
     best = math.inf
-    for l in cells:
+    for S, N in _budgets(scenario, stats, M, precoder, i):
         for size in range(1, L + 1):
-            for omega in itertools.combinations(cells, size):
-                pd = power_decomposition(scenario, stats, M, precoder, (i, l), omega)
-                best = min(best, c_lb(pd) / size)
+            for omega in itertools.combinations(range(L), size):
+                best = min(best, _decode_bound(S, N, omega) / size)
     return best
 
 
@@ -202,43 +115,14 @@ def sym_rate_snd(scenario: NetworkScenario, stats: EstimationStats, M: int,
     if scenario.n_cells != 2:
         raise ValueError("SND symmetric solver covers the 2-cell system only")
     rates = []
-    for l in range(2):
-        mi = mi_terms(scenario, stats, M, precoder, i, l)
-        i_own, i_oth = ((mi.i_1_given_2, mi.i_2_given_1) if l == 0
-                        else (mi.i_2_given_1, mi.i_1_given_2))
-        r = _snd_at_receiver(i_own, i_oth, mi.i_12)
-        tin = tin_lb(scenario, stats, M, precoder, (i, l))
+    for l, (S, N) in enumerate(_budgets(scenario, stats, M, precoder, i)):
+        r = _snd_at_receiver(_decode_bound(S, N, (l,)), _decode_bound(S, N, (1 - l,)),
+                             _decode_bound(S, N, (0, 1)))
+        tin = _tin(S, N, l)
         # region contains the TIN point; floor guards the log-identity rounding
         _check_clamp("SND", tin - r, precoder, M, i, (l,))
         rates.append(max(r, tin))
     return min(rates)
-
-
-def pd_terms_from_budget(s_own: float, s_int: float, noise: float,
-                         mu_own: float, mu_int: float) -> PdMiTerms:
-    """Layered rate bounds from raw coherent powers; the interferer's outer
-    layer (fraction mu_int of s_int) is absorbed into the noise."""
-    den = noise + mu_int * s_int
-    return PdMiTerms(
-        r_full=capacity_bits(s_own / den),
-        r_outer=capacity_bits(mu_own * s_own / den),
-        r_full_joint=capacity_bits((s_own + (1.0 - mu_int) * s_int) / den),
-        r_outer_joint=capacity_bits((mu_own * s_own + (1.0 - mu_int) * s_int) / den),
-    )
-
-
-def pd_mi_terms(scenario: NetworkScenario, stats: EstimationStats, M: int,
-                precoder: Precoder, i: int, split: PdSplit,
-                receiver_cell: int) -> PdMiTerms:
-    """Layered rate bounds at one receiver for a fixed power split."""
-    if scenario.n_cells != 2:
-        raise ValueError("the rate-splitting scheme covers the 2-cell system only")
-    theta, noise = link_budget(scenario, stats, M, precoder, (i, receiver_cell))
-    s_own = float(theta[receiver_cell]) ** 2
-    s_int = float(theta[1 - receiver_cell]) ** 2
-    mu_own, mu_int = ((split.mu1, split.mu2) if receiver_cell == 0
-                      else (split.mu2, split.mu1))
-    return pd_terms_from_budget(s_own, s_int, noise, mu_own, mu_int)
 
 
 def _pd_symmetric_grid(s1, n1, s2, n2, mu):
@@ -283,11 +167,8 @@ def sym_rate_pd(scenario: NetworkScenario, stats: EstimationStats, M: int,
         raise ValueError("the rate-splitting scheme covers the 2-cell system only")
     if grid < 2:
         raise ValueError("grid must have at least the two endpoints")
-    budgets = []
-    for l in range(2):
-        theta, noise = link_budget(scenario, stats, M, precoder, (i, l))
-        budgets.append(((float(theta[l]) ** 2, float(theta[1 - l]) ** 2), noise))
-    (s1, n1), (s2, n2) = budgets
+    (S1, n1), (S2, n2) = _budgets(scenario, stats, M, precoder, i)
+    s1, s2 = (S1[0], S1[1]), (S2[1], S2[0])
 
     mu = np.linspace(0.0, 1.0, grid)
     values = _pd_symmetric_grid(s1, n1, s2, n2, mu)
@@ -295,8 +176,7 @@ def sym_rate_pd(scenario: NetworkScenario, stats: EstimationStats, M: int,
     # mu = (1, 1) collapses to TIN exactly; evaluate that corner in reduced
     # form, since the averaged sum bounds are redundant there and only add
     # rounding.
-    tin_corner = min(capacity_bits(s1[0] / (n1 + s1[1])),
-                     capacity_bits(s2[0] / (n2 + s2[1])))
+    tin_corner = min(_tin(S1, n1, 0), _tin(S2, n2, 1))
     _check_clamp("PD grid corner (1, 1)", tin_corner - values[-1, -1], precoder, M,
                  i, (0, 1))
     if tin_corner > values[-1, -1]:

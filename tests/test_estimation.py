@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pcdl.estimation import (compute_alpha, crandn, own_links, sample_channels,
-                             sample_gram)
+from pcdl.estimation import compute_alpha, crandn, own_links, sample_gram
 from conftest import toy_scenario
+from reference import sample_channels
 
 
 def test_alpha_single_cell_hand_value():

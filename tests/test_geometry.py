@@ -6,9 +6,10 @@ import pytest
 
 from pcdl.geometry import (SQRT3, ScenarioConfig, bs_layout, build_beta,
                            build_scenario, hex_apothem, hexagon_contains,
-                           load_scenario_config, parse_key_values, path_loss_db,
-                           place_users, scenario_config_from_dict,
-                           scenario_to_csv, _sample_hexagon_point)
+                           parse_key_values, path_loss_db, place_users,
+                           scenario_config_from_dict, scenario_to_csv,
+                           _sample_hexagon_point)
+from reference import load_scenario_config
 
 
 def test_path_loss_reference_value():

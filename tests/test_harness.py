@@ -9,8 +9,8 @@ import pcdl
 from pcdl.cli import main as cli_main
 from pcdl.geometry import ScenarioConfig
 from pcdl.harness import (SweepConfig, emit_plot_script, load_sweep_config,
-                          run_sweep, sweep_config_from_dict, with_seed,
-                          write_sweep_csv)
+                          parse_antenna_count, run_sweep, sweep_config_from_dict,
+                          with_seed, write_sweep_csv)
 
 
 def small_sweep_config(**kw):
@@ -241,3 +241,54 @@ def test_cli_import_leaves_process_pool_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("m, message", [
+    ("abc", "--m: antenna count 'abc' is not an integer"),
+    ("64,", "--m: antenna count '' is not an integer"),
+    ("64.5", "--m: antenna count '64.5' is not an integer"),
+    ("64,10", "--m: M = 10 must exceed K + 1 = 16"),
+    ("16", "--m: M = 16 must exceed K + 1 = 16"),
+])
+def test_cli_verify_rejects_bad_m(tmp_path, capsys, m, message):
+    # K = 15 from the default config; checked before any sampling
+    out = tmp_path / "verify.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--m", m, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pcdl: error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_verify_m_bound_follows_config_k(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K = 4\nn_drops = 2\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--config", str(cfg), "--m", "5",
+                  "--out", str(tmp_path / "verify.csv")])
+    assert exc.value.code == 2
+    assert "--m: M = 5 must exceed K + 1 = 5" in capsys.readouterr().err
+
+
+def test_parse_antenna_count():
+    assert parse_antenna_count("1000000") == 10 ** 6
+    assert parse_antenna_count(" 1e6") == 10 ** 6
+    assert parse_antenna_count("123456789012345678901") == 123456789012345678901
+    for text in ("32.5", "abc", "", "inf", "nan"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            parse_antenna_count(text)
+
+
+def test_sweep_config_rejects_empty_lists():
+    for name in ("m_values", "schemes", "precoders"):
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            SweepConfig(**{name: ()})
+
+
+def test_package_exports_import():
+    namespace = {}
+    exec("from pcdl import *", namespace)
+    missing = [name for name in pcdl.__all__ if name not in namespace]
+    assert not missing

@@ -1,14 +1,16 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from pcdl import _kernels
-from pcdl.estimation import crandn, own_links, sample_channels
+from pcdl.estimation import crandn, own_links
 from pcdl.mc_oracle import (N_BATCHES, _batch_bounds, _batch_sums, _chunk_iter,
-                            _gram_law, empirical_moments, hardening_check,
-                            verification_rows, write_report_csv, zf_precoder)
+                            _gram_law, empirical_moments, verification_rows,
+                            write_report_csv)
 from pcdl.rate_core import Precoder, effective_gain, power_decomposition
+from reference import hardening_check, sample_channels, zf_precoder
 
 
 def test_zf_precoder_single_column():
@@ -266,6 +268,25 @@ def test_verification_rows_and_csv(tmp_path, small_drop):
     assert lines[0] == "quantity,closed_form,empirical,std_err,z_score,pass"
     assert len(lines) == 1 + len(rows)
     assert lines[1].endswith(",true")
+
+
+def test_report_csv_round_trips_quantities(tmp_path, small_drop):
+    # quantity names hold commas ("...@M=16,zf,rcvr=(1,2)"), so they are quoted
+    scenario, stats = small_drop
+    rows = verification_rows(scenario, stats, 16, Precoder.ZF, (0, 1), omega=(1,),
+                             trials=1000, rng=np.random.default_rng(4))
+    out = tmp_path / "report.csv"
+    write_report_csv(rows, str(out))
+    with open(out, encoding="utf-8", newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    assert header == ["quantity", "closed_form", "empirical", "std_err", "z_score",
+                      "pass"]
+    assert len(body) == len(rows)
+    for fields, r in zip(body, rows):
+        assert len(fields) == 6
+        assert "," in r.quantity and fields[0] == r.quantity
+        assert float(fields[1]) == r.closed_form
+        assert fields[5] == str(r.passed).lower()
 
 
 def _vector_trial(real, s, w, scenario, eff, precoder, receiver):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from pcdl.estimation import compute_alpha
-from pcdl.rate_core import (PowerDecomposition, Precoder, c_lb, capacity_bits,
+from pcdl.rate_core import (PowerDecomposition, Precoder, capacity_bits,
                             effective_gain, lambda_mrt, lambda_zf, link_budget,
-                            p2_mrt_compact, power_decomposition,
-                            power_decomposition_mrt, power_decomposition_zf,
-                            tin_lb)
+                            power_decomposition, power_decomposition_mrt,
+                            power_decomposition_zf)
 from conftest import toy_scenario
+from reference import c_lb, p2_mrt_compact, tin_lb
 
 
 def unit_scenario(rho_p=1.0, rho_d=1.0):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,14 +6,15 @@ import pytest
 
 from pcdl.estimation import compute_alpha
 from pcdl.geometry import build_scenario
-from pcdl.rate_core import Precoder, link_budget, tin_lb
+from pcdl.harness import DEFAULT_M_VALUES
+from pcdl.rate_core import Precoder, link_budget
 from pcdl import schemes
-from pcdl.schemes import (MiTerms2, PdSplit, RateRegion2, RegionConstraint,
-                          _pd_symmetric_grid, _snd_at_receiver, intersect,
-                          mi_terms, pd_mi_terms, pd_terms_from_budget,
-                          snd_region, sym_rate_pd, sym_rate_sd, sym_rate_snd,
-                          sym_rate_tin)
+from pcdl.schemes import (PdSplit, _pd_symmetric_grid, _snd_at_receiver,
+                          sym_rate_pd, sym_rate_sd, sym_rate_snd, sym_rate_tin)
 from conftest import toy_scenario
+from reference import (MiTerms2, RateRegion2, RegionConstraint, intersect,
+                       mi_terms, pd_mi_terms, pd_terms_from_budget, snd_region,
+                       tin_lb)
 
 
 def random_mi_triple(rng):
@@ -48,7 +50,6 @@ def test_tin_symmetric_scenario_mirror():
     beta[1, 0, 0] = beta[0, 0, 1] = 1e-12
     scenario = toy_scenario(beta, rho_d=1e12, rho_p=1e12)
     stats = compute_alpha(scenario)
-    from pcdl.rate_core import tin_lb
     r0 = tin_lb(scenario, stats, 64, Precoder.MRT, (0, 0))
     r1 = tin_lb(scenario, stats, 64, Precoder.MRT, (0, 1))
     assert r0 == pytest.approx(r1, rel=1e-12)
@@ -334,3 +335,27 @@ def test_pd_corner_floor_rejects_a_real_deficit(monkeypatch, paper_drop):
     with pytest.raises(ArithmeticError, match=r"PD grid corner \(1, 1\) is 1e-09 bits "
                        r"below TIN at M=64, MRT, receiver \(2,1\) and \(2,2\)"):
         sym_rate_pd(scenario, stats, 64, Precoder.MRT, 1, grid=5)
+
+
+def test_rates_nondecreasing_in_m(paper_config):
+    # S_j grows with M (as M under MRT, M - K under ZF) and N does not, so
+    # every scheme's rate is nondecreasing in M; a budget read at another M
+    # than the one asked for can break this
+    rates = {"TIN": sym_rate_tin, "SD": sym_rate_sd, "SND": sym_rate_snd,
+             "PD": lambda *args: sym_rate_pd(*args)[0]}
+    for drop in range(5):
+        scenario = build_scenario(paper_config, drop)
+        stats = compute_alpha(scenario)
+        for prec in (Precoder.MRT, Precoder.ZF):
+            for name, rate in rates.items():
+                values = [rate(scenario, stats, M, prec, 0) for M in DEFAULT_M_VALUES]
+                for M, a, b in zip(DEFAULT_M_VALUES[1:], values, values[1:]):
+                    assert b >= a - 1e-12, (name, drop, prec, M, a, b)
+
+
+def test_schemes_read_only_the_link_budget():
+    # every rate is a function of (S, N); the per-decode-set power
+    # decompositions belong to the oracle and the test references
+    for name in ("power_decomposition", "c_lb"):
+        assert not hasattr(schemes, name)
+        assert name not in inspect.getsource(schemes)
