@@ -39,7 +39,7 @@ def _int_at_least(low: int):
 
 def _add_common(parser):
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
     parser.add_argument("--out", help="output CSV path")
 
 
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("scenario", help="dump one drop's geometry CSV")
     _add_common(p)
-    p.add_argument("--drop", type=int, default=0)
+    p.add_argument("--drop", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_scenario)
 
     args = parser.parse_args(argv)

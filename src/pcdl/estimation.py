@@ -83,12 +83,14 @@ class EstimationStats:
     err_var: np.ndarray  # (L, K) per-antenna own-link error variance
 
     def __post_init__(self):
-        for arr in (self.alpha, self.est_var, self.err_var):
+        # every precoder normalization reads gamma(); extract it once
+        object.__setattr__(self, "_gamma", own_links(self.est_var))
+        for arr in (self.alpha, self.est_var, self.err_var, self._gamma):
             arr.flags.writeable = False
 
     def gamma(self) -> np.ndarray:
         """Own-link estimate variances est_var[j, k, j], shape (L, K)."""
-        return own_links(self.est_var)
+        return self._gamma
 
 
 def compute_alpha(scenario: NetworkScenario) -> EstimationStats:

@@ -52,6 +52,8 @@ class ScenarioConfig:
             raise ValueError("min_bs_distance_m must lie in (0, cell_radius_m)")
         if self.n_drops < 1:
             raise ValueError("n_drops must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("cell_radius_m", "bs_height_m", "carrier_freq_ghz",
                      "bandwidth_hz", "bs_total_power_w", "ue_pilot_power_w"):
             if getattr(self, name) <= 0:

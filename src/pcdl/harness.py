@@ -42,9 +42,14 @@ class SweepConfig:
                 raise ValueError(f"{name} must not be empty")
         if list(self.m_values) != sorted(set(self.m_values)):
             raise ValueError("m_values must be strictly ascending")
+        L = self.scenario.L
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme: {s}")
+            if s == "SD" and L < 2:
+                raise ValueError(f"scheme SD needs L >= 2 cells, got L = {L}")
+            if s in ("SND", "PD") and L != 2:
+                raise ValueError(f"scheme {s} covers L = 2 cells only, got L = {L}")
         parsed = [Precoder.parse(p) for p in self.precoders]
         if Precoder.ZF in parsed and self.m_values[0] <= self.scenario.K:
             raise ValueError("ZF sweeps need every M > K")

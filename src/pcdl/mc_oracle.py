@@ -3,7 +3,7 @@
 Samples the physical link, applies the actual MRT/ZF precoders and estimates
 the moments that the closed forms predict: the per-cell mean effective gain
 (vs theta), the variance of the residual after removing the coherent part
-(vs the power-decomposition noise sum) and the radiated per-user power
+(vs the closed-form effective noise N) and the radiated per-user power
 (vs rho_d). Gates are statistical: quantities carry standard errors from ten
 batch means, and a |z| <= 5 rule separates formula bugs from Monte Carlo
 noise at the documented trial counts.
@@ -153,7 +153,7 @@ def empirical_moments(scenario: NetworkScenario, stats: EstimationStats, M: int,
                             power=power, power_se=power_se, trials=trials)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     quantity: str
     closed_form: float

@@ -1,5 +1,5 @@
-"""Closed-form link analysis: precoder normalizations, effective channel gains,
-power decompositions and the per-receiver link budget.
+"""Closed-form link analysis: precoder normalizations, effective channel gains
+and the per-receiver link budget.
 
 After linear precoding, the signal a user receives on its pilot-sharing set
 collapses to an effective scalar multiple-access channel
@@ -9,11 +9,26 @@ collapses to an effective scalar multiple-access channel
 where theta_j is the deterministic mean effective gain of cell j's signal and
 w' lumps beamforming-gain uncertainty, other-user interference and thermal
 noise. Replacing w' by a Gaussian of equal variance gives achievable-rate
-lower bounds C(P1 / P_noise) for any decode set Omega, with P1 the coherent
-power of the decoded signals and P_noise the variance of w'. P_noise does
-not depend on Omega and P1 = sum_{j in Omega} theta_j^2, so one link budget
-per receiver, (theta, P_noise), fixes every bound; `schemes` reads nothing
-else.
+lower bounds C(P1 / N) for any decode set Omega, with P1 the coherent power
+of the decoded signals and N the variance of w'. P1 = sum_{j in Omega}
+theta_j^2, so one link budget per receiver, (theta, N), fixes every bound;
+`schemes` reads nothing else.
+
+At receiver (i, l), N has one closed form per precoder:
+
+    MRT: N = 1 + rho_d K sum_j beta_jil
+    ZF:  N = 1 + rho_d K sum_j beta_jil (1 - sqrt(rho_p) alpha_jil)
+
+Under MRT the power rho_d K that cell j radiates reaches the receiver as
+noise with gain beta_jil, and the coherent power theta_j^2 comes on top of
+it. Under ZF the precoder nulls the estimated channels, so only the
+estimation error, of variance beta_jil (1 - sqrt(rho_p) alpha_jil) per
+antenna, lets that power through. The received stream powers scale with M
+(MRT) or 1/(M - K) (ZF), exactly as the normalization lambda_j does, so M
+cancels. The decode set does not enter: decoding a signal removes its
+coherent part theta_j^2, never its uncertainty. The term-by-term split
+these forms sum lives with the tests (`tests/reference.py`), which check N
+against it.
 
 All sums run in linear scale with compensated summation (math.fsum); beta
 entries span ten-plus orders of magnitude.
@@ -55,22 +70,12 @@ class EffectiveChannel:
 
 @dataclass(frozen=True)
 class PowerDecomposition:
-    """Signal/interference/noise split for a decode set Omega.
-
-    For MRT: p2 = beamforming-gain uncertainty, p3 = other-user interference,
-    p4 = unit thermal noise. For ZF: p2 = channel-estimation-error leakage,
-    p3 = unit thermal noise and p4 = 0 (three-term split).
-    """
+    """Coherent power p1 of the signals in decode set omega, and the
+    effective noise N, which does not depend on omega."""
 
     p1: float
-    p2: float
-    p3: float
-    p4: float
+    noise: float
     omega: frozenset[int]
-
-    @property
-    def noise(self) -> float:
-        return math.fsum((self.p2, self.p3, self.p4))
 
 
 def capacity_bits(snr: float) -> float:
@@ -122,79 +127,30 @@ def effective_gain(scenario: NetworkScenario, stats: EstimationStats, M: int,
     return EffectiveChannel(receiver=(i, l), theta=theta, lam=lam)
 
 
-def power_decomposition_mrt(scenario: NetworkScenario, stats: EstimationStats,
-                            M: int, receiver: tuple[int, int],
-                            omega: Iterable[int]) -> PowerDecomposition:
-    """Four-term MRT power split for decode set omega at receiver (i, l).
-
-    p2 is computed as the two-part sum: the variance of the contaminated-estimate
-    inner product plus the estimation-error leakage.
-    """
+def link_budget(scenario: NetworkScenario, stats: EstimationStats, M: int,
+                precoder: Precoder, receiver: tuple[int, int]):
+    """(theta, effective noise power N) at one receiver; the common input of
+    every per-scheme rate expression."""
+    theta = effective_gain(scenario, stats, M, precoder, receiver).theta
     i, l = receiver
-    L = scenario.n_cells
-    omega = frozenset(omega)
-    _check_omega(omega, L)
-    beta, alpha = scenario.beta, stats.alpha
-    rho_d, rho_p = scenario.rho_d, scenario.rho_p
-    srp = math.sqrt(rho_p)
-    gam = stats.gamma()
-
-    p1_terms = []
-    p2_terms = []
-    p3_terms = []
-    for j in range(L):
-        lam = lambda_mrt(scenario, stats, M, j)
-        scale = rho_d / lam
-        if j in omega:
-            p1_terms.append(M * M * scale * rho_p * beta[j, i, l] ** 2 * alpha[j, i, j] ** 2)
-        p2_terms.append(M * scale * rho_p * beta[j, i, l] ** 2 * alpha[j, i, j] ** 2)
-        p2_terms.append(M * scale * beta[j, i, l] * (1.0 - srp * alpha[j, i, l]) * gam[j, i])
-        other = math.fsum(gam[j, k] for k in range(scenario.users_per_cell) if k != i)
-        p3_terms.append(M * scale * beta[j, i, l] * other)
-    return PowerDecomposition(p1=math.fsum(p1_terms), p2=math.fsum(p2_terms),
-                              p3=math.fsum(p3_terms), p4=1.0, omega=omega)
-
-
-def power_decomposition_zf(scenario: NetworkScenario, stats: EstimationStats,
-                           M: int, receiver: tuple[int, int],
-                           omega: Iterable[int]) -> PowerDecomposition:
-    """Three-term ZF power split; p3 is the unit noise, p4 unused (0)."""
-    i, l = receiver
-    L, K = scenario.n_cells, scenario.users_per_cell
-    omega = frozenset(omega)
-    _check_omega(omega, L)
-    beta, alpha = scenario.beta, stats.alpha
-    srp = math.sqrt(scenario.rho_p)
-    gam = stats.gamma()
-
-    p1_terms = []
-    p2_terms = []
-    for j in range(L):
-        lam = lambda_zf(scenario, stats, M, j)
-        scale = scenario.rho_d / lam
-        if j in omega:
-            p1_terms.append(scale * (beta[j, i, l] / beta[j, i, j]) ** 2)
-        err = beta[j, i, l] * (1.0 - srp * alpha[j, i, l])
-        p2_terms.extend(scale * err / ((M - K) * gam[j, k]) for k in range(K))
-    return PowerDecomposition(p1=math.fsum(p1_terms), p2=math.fsum(p2_terms),
-                              p3=1.0, p4=0.0, omega=omega)
+    beta, K = scenario.beta[:, i, l], scenario.users_per_cell
+    if precoder is Precoder.MRT:
+        noise = 1.0 + scenario.rho_d * K * math.fsum(beta)
+    else:
+        err = beta * (1.0 - math.sqrt(scenario.rho_p) * stats.alpha[:, i, l])
+        noise = 1.0 + scenario.rho_d * K * math.fsum(err)
+    return theta, noise
 
 
 def power_decomposition(scenario: NetworkScenario, stats: EstimationStats,
                         M: int, precoder: Precoder, receiver: tuple[int, int],
                         omega: Iterable[int]) -> PowerDecomposition:
-    if precoder is Precoder.MRT:
-        return power_decomposition_mrt(scenario, stats, M, receiver, omega)
-    return power_decomposition_zf(scenario, stats, M, receiver, omega)
-
-
-def link_budget(scenario: NetworkScenario, stats: EstimationStats, M: int,
-                precoder: Precoder, receiver: tuple[int, int]):
-    """(theta, effective noise power) at one receiver; the common input of
-    every per-scheme rate expression."""
-    eff = effective_gain(scenario, stats, M, precoder, receiver)
-    pd = power_decomposition(scenario, stats, M, precoder, receiver, omega=())
-    return eff.theta, pd.noise
+    """The link budget seen by decode set omega: its coherent power and N."""
+    omega = frozenset(omega)
+    _check_omega(omega, scenario.n_cells)
+    theta, noise = link_budget(scenario, stats, M, precoder, receiver)
+    return PowerDecomposition(p1=math.fsum(float(theta[j]) ** 2 for j in omega),
+                              noise=noise, omega=omega)
 
 
 def _check_omega(omega: frozenset, L: int) -> None:

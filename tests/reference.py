@@ -2,9 +2,12 @@
 
 None of this is on a path `sweep`, `verify` or `scenario` runs:
 
-- per-decode-set rate bounds, built from `rate_core.power_decomposition`
-  rather than from the link budget the schemes use (`c_lb`, `tin_lb`,
-  `mi_terms`), and the compact MRT uncertainty power (`p2_mrt_compact`);
+- the term-by-term power split of a decode set (`PowerTerms`,
+  `power_decomposition_mrt`, `power_decomposition_zf`, `power_terms`), the
+  route the closed-form noise of `rate_core.link_budget` is checked against,
+  and the compact MRT uncertainty power (`p2_mrt_compact`);
+- per-decode-set rate bounds built from those terms (`c_lb`, `mi_terms`),
+  and the TIN bound of one receiver (`tin_lb`);
 - explicit 2-cell rate regions reduced to the diagonal by bisection
   (`RateRegion2`, `snd_region`, `intersect`) and the layered PD bounds one
   split at a time (`pd_terms_from_budget`, `pd_mi_terms`);
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -28,15 +31,103 @@ from pcdl.estimation import EstimationStats, crandn, own_links
 from pcdl.geometry import (NetworkScenario, ScenarioConfig, parse_key_values,
                            scenario_config_from_dict)
 from pcdl.mc_oracle import _chunk_iter
-from pcdl.rate_core import (PowerDecomposition, Precoder, capacity_bits,
-                            effective_gain, lambda_mrt, link_budget,
-                            power_decomposition)
+from pcdl.rate_core import (PowerDecomposition, Precoder, _check_omega,
+                            capacity_bits, effective_gain, lambda_mrt,
+                            lambda_zf, link_budget)
 from pcdl.schemes import PdSplit
+
+
+# --- term-by-term power split ----------------------------------------------
+
+@dataclass(frozen=True)
+class PowerTerms:
+    """Signal/interference/noise split for a decode set Omega.
+
+    For MRT: p2 = beamforming-gain uncertainty, p3 = other-user interference,
+    p4 = unit thermal noise. For ZF: p2 = channel-estimation-error leakage,
+    p3 = unit thermal noise and p4 = 0 (three-term split).
+    """
+
+    p1: float
+    p2: float
+    p3: float
+    p4: float
+    omega: frozenset[int]
+
+    @property
+    def noise(self) -> float:
+        return math.fsum((self.p2, self.p3, self.p4))
+
+
+def power_decomposition_mrt(scenario: NetworkScenario, stats: EstimationStats,
+                            M: int, receiver: tuple[int, int],
+                            omega: Iterable[int]) -> PowerTerms:
+    """Four-term MRT power split for decode set omega at receiver (i, l).
+
+    p2 is computed as the two-part sum: the variance of the contaminated-estimate
+    inner product plus the estimation-error leakage.
+    """
+    i, l = receiver
+    L = scenario.n_cells
+    omega = frozenset(omega)
+    _check_omega(omega, L)
+    beta, alpha = scenario.beta, stats.alpha
+    rho_d, rho_p = scenario.rho_d, scenario.rho_p
+    srp = math.sqrt(rho_p)
+    gam = stats.gamma()
+
+    p1_terms = []
+    p2_terms = []
+    p3_terms = []
+    for j in range(L):
+        lam = lambda_mrt(scenario, stats, M, j)
+        scale = rho_d / lam
+        if j in omega:
+            p1_terms.append(M * M * scale * rho_p * beta[j, i, l] ** 2 * alpha[j, i, j] ** 2)
+        p2_terms.append(M * scale * rho_p * beta[j, i, l] ** 2 * alpha[j, i, j] ** 2)
+        p2_terms.append(M * scale * beta[j, i, l] * (1.0 - srp * alpha[j, i, l]) * gam[j, i])
+        other = math.fsum(gam[j, k] for k in range(scenario.users_per_cell) if k != i)
+        p3_terms.append(M * scale * beta[j, i, l] * other)
+    return PowerTerms(p1=math.fsum(p1_terms), p2=math.fsum(p2_terms),
+                      p3=math.fsum(p3_terms), p4=1.0, omega=omega)
+
+
+def power_decomposition_zf(scenario: NetworkScenario, stats: EstimationStats,
+                           M: int, receiver: tuple[int, int],
+                           omega: Iterable[int]) -> PowerTerms:
+    """Three-term ZF power split; p3 is the unit noise, p4 unused (0)."""
+    i, l = receiver
+    L, K = scenario.n_cells, scenario.users_per_cell
+    omega = frozenset(omega)
+    _check_omega(omega, L)
+    beta, alpha = scenario.beta, stats.alpha
+    srp = math.sqrt(scenario.rho_p)
+    gam = stats.gamma()
+
+    p1_terms = []
+    p2_terms = []
+    for j in range(L):
+        lam = lambda_zf(scenario, stats, M, j)
+        scale = scenario.rho_d / lam
+        if j in omega:
+            p1_terms.append(scale * (beta[j, i, l] / beta[j, i, j]) ** 2)
+        err = beta[j, i, l] * (1.0 - srp * alpha[j, i, l])
+        p2_terms.extend(scale * err / ((M - K) * gam[j, k]) for k in range(K))
+    return PowerTerms(p1=math.fsum(p1_terms), p2=math.fsum(p2_terms),
+                      p3=1.0, p4=0.0, omega=omega)
+
+
+def power_terms(scenario: NetworkScenario, stats: EstimationStats,
+                M: int, precoder: Precoder, receiver: tuple[int, int],
+                omega: Iterable[int]) -> PowerTerms:
+    if precoder is Precoder.MRT:
+        return power_decomposition_mrt(scenario, stats, M, receiver, omega)
+    return power_decomposition_zf(scenario, stats, M, receiver, omega)
 
 
 # --- per-decode-set bounds -------------------------------------------------
 
-def c_lb(pd: PowerDecomposition) -> float:
+def c_lb(pd: PowerTerms | PowerDecomposition) -> float:
     """Achievable-rate lower bound C(p1 / noise) in bits/s/Hz."""
     if pd.p1 == 0.0:
         return 0.0
@@ -92,9 +183,9 @@ def mi_terms(scenario: NetworkScenario, stats: EstimationStats, M: int,
     args = (scenario, stats, M, precoder, rcvr)
     return MiTerms2(
         receiver=rcvr,
-        i_1_given_2=c_lb(power_decomposition(*args, omega=(0,))),
-        i_2_given_1=c_lb(power_decomposition(*args, omega=(1,))),
-        i_12=c_lb(power_decomposition(*args, omega=(0, 1))),
+        i_1_given_2=c_lb(power_terms(*args, omega=(0,))),
+        i_2_given_1=c_lb(power_terms(*args, omega=(1,))),
+        i_12=c_lb(power_terms(*args, omega=(0, 1))),
     )
 
 

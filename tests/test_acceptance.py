@@ -15,10 +15,10 @@ from pcdl.estimation import compute_alpha, crandn
 from pcdl.geometry import ScenarioConfig, build_scenario
 from pcdl.harness import PRACTICAL_M_VALUES, SweepConfig, run_sweep, write_sweep_csv
 from pcdl.mc_oracle import empirical_moments
-from pcdl.rate_core import (Precoder, effective_gain, power_decomposition,
-                            power_decomposition_mrt)
+from pcdl.rate_core import Precoder, effective_gain, power_decomposition
 from pcdl.schemes import _snd_at_receiver
-from reference import MiTerms2, c_lb, p2_mrt_compact, snd_region, zf_precoder
+from reference import (MiTerms2, c_lb, p2_mrt_compact, power_decomposition_mrt,
+                       snd_region, zf_precoder)
 from test_schemes import random_mi_triple
 
 PAPER_M = (128, 256, 1024)

@@ -54,6 +54,9 @@ def test_config_invariants():
         ScenarioConfig(n_drops=0)
     with pytest.raises(ValueError):
         ScenarioConfig(bs_total_power_w=-1.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ScenarioConfig(seed=-1)
+    assert ScenarioConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

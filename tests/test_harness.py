@@ -204,6 +204,9 @@ def test_cli_seed_override(tmp_path):
     (["verify", "--trials", "10"], "argument --trials: must be >= 1000, got 10"),
     (["sweep", "--threads", "0"], "argument --threads: must be >= 1, got 0"),
     (["sweep", "--threads", "-3"], "argument --threads: must be >= 1, got -3"),
+    (["sweep", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["verify", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["scenario", "--drop", "-1"], "argument --drop: must be >= 0, got -1"),
 ])
 def test_cli_rejects_bad_counts(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
@@ -219,6 +222,11 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, argv, message):
      "{path}: bs_total_power_w must be finite, got nan"),
     ("n_drops = 2\nK = 4\nK = 5\n", "{path}:3: duplicate key 'K'"),
     ("n_drops = 2\nradius = 400\n", "{path}: unknown sweep key: radius"),
+    ("n_drops = 2\nseed = -3\n", "{path}: seed must be >= 0, got -3"),
+    ("L = 3\nK = 4\nn_drops = 2\n",
+     "{path}: scheme SND covers L = 2 cells only, got L = 3"),
+    ("L = 1\nK = 4\nn_drops = 2\nschemes = TIN, SD\n",
+     "{path}: scheme SD needs L >= 2 cells, got L = 1"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "verify", "scenario"])
 def test_cli_rejects_bad_config_file(tmp_path, capsys, lines, message, command):
@@ -285,6 +293,26 @@ def test_sweep_config_rejects_empty_lists():
     for name in ("m_values", "schemes", "precoders"):
         with pytest.raises(ValueError, match=f"{name} must not be empty"):
             SweepConfig(**{name: ()})
+
+
+@pytest.mark.parametrize("L, schemes, message", [
+    (3, ("TIN", "SD", "SND", "PD"), "scheme SND covers L = 2 cells only, got L = 3"),
+    (3, ("TIN", "PD"), "scheme PD covers L = 2 cells only, got L = 3"),
+    (1, ("TIN", "SD"), "scheme SD needs L >= 2 cells, got L = 1"),
+    (1, ("SND",), "scheme SND covers L = 2 cells only, got L = 1"),
+])
+def test_sweep_config_rejects_schemes_the_cells_cannot_run(L, schemes, message):
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(scenario=ScenarioConfig(L=L, K=2), m_values=(8,), schemes=schemes)
+
+
+@pytest.mark.parametrize("L, schemes", [(1, ("TIN",)), (3, ("TIN", "SD"))])
+def test_sweep_runs_every_scheme_its_cells_allow(L, schemes):
+    cfg = SweepConfig(scenario=ScenarioConfig(L=L, K=2, n_drops=2), m_values=(8,),
+                      schemes=schemes)
+    result = run_sweep(cfg)
+    assert len(result.rows) == len(schemes) * 2
+    assert all(np.isfinite(r.mean_se) and r.mean_se > 0 for r in result.rows)
 
 
 def test_package_exports_import():

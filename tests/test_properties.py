@@ -60,7 +60,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def scenario_configs(draw):
     radius = draw(positive)
     return ScenarioConfig(
-        L=draw(st.integers(1, 10 ** 6)), K=draw(st.integers(1, 10 ** 6)),
+        # small cell counts often: which schemes a sweep may run depends on L
+        L=draw(st.integers(1, 3) | st.integers(1, 10 ** 6)),
+        K=draw(st.integers(1, 10 ** 6)),
         cell_radius_m=radius,
         min_bs_distance_m=draw(st.floats(0.0, radius, exclude_min=True,
                                          exclude_max=True)),
@@ -77,9 +79,13 @@ def sweep_configs(draw):
     precoders = draw(st.lists(st.sampled_from(("MRT", "ZF")), min_size=1, unique=True))
     lowest = scenario.K + 1 if "ZF" in precoders else 1
     m_values = draw(st.lists(st.integers(lowest, 10 ** 30), min_size=1, unique=True))
+    # SD needs two cells or more, SND and PD exactly two
+    L = scenario.L
+    fitting = [s for s in SCHEMES
+               if s == "TIN" or (s == "SD" and L >= 2) or (s in ("SND", "PD") and L == 2)]
     return SweepConfig(
         scenario=scenario, m_values=tuple(sorted(m_values)),
-        schemes=tuple(draw(st.lists(st.sampled_from(SCHEMES), min_size=1, unique=True))),
+        schemes=tuple(draw(st.lists(st.sampled_from(fitting), min_size=1, unique=True))),
         precoders=tuple(precoders),
         pilot_index=draw(st.integers(1, scenario.K)),
         mu_grid=draw(st.integers(2, 10 ** 6)))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from pcdl.estimation import compute_alpha
-from pcdl.rate_core import (PowerDecomposition, Precoder, capacity_bits,
-                            effective_gain, lambda_mrt, lambda_zf, link_budget,
-                            power_decomposition, power_decomposition_mrt,
-                            power_decomposition_zf)
+from pcdl.geometry import build_scenario
+from pcdl.rate_core import (Precoder, capacity_bits, effective_gain,
+                            lambda_mrt, lambda_zf, link_budget,
+                            power_decomposition)
 from conftest import toy_scenario
-from reference import c_lb, p2_mrt_compact, tin_lb
+from reference import (PowerTerms, c_lb, p2_mrt_compact,
+                       power_decomposition_mrt, power_decomposition_zf,
+                       power_terms, tin_lb)
 
 
 def unit_scenario(rho_p=1.0, rho_d=1.0):
@@ -91,7 +93,7 @@ def test_power_decomposition_empty_omega(paper_drop):
 def test_power_decomposition_rejects_bad_omega(paper_drop):
     scenario, stats = paper_drop
     with pytest.raises(ValueError, match="omega entries"):
-        power_decomposition_mrt(scenario, stats, 64, (0, 0), omega=(2,))
+        power_decomposition(scenario, stats, 64, Precoder.MRT, (0, 0), omega=(2,))
 
 
 def test_mrt_single_cell_snr_slope():
@@ -119,7 +121,7 @@ def test_p1_equals_coherent_power(paper_drop):
     for prec in (Precoder.MRT, Precoder.ZF):
         eff = effective_gain(scenario, stats, 128, prec, (0, 1))
         for j in range(2):
-            pd = power_decomposition(scenario, stats, 128, prec, (0, 1), omega=(j,))
+            pd = power_terms(scenario, stats, 128, prec, (0, 1), omega=(j,))
             assert pd.p1 == pytest.approx(eff.theta[j] ** 2, rel=1e-12)
 
 
@@ -141,6 +143,8 @@ def test_zf_decomposition_hand_example():
     assert pd.p3 == 1.0 and pd.p4 == 0.0
     assert c_lb(pd) == pytest.approx(math.log2(1 + 0.5 / 1.5), rel=1e-15)
     assert c_lb(pd) == pytest.approx(0.415, abs=5e-4)
+    lib = power_decomposition(scenario, stats, 2, Precoder.ZF, (0, 0), omega=(0,))
+    assert lib.noise == pytest.approx(1.5, rel=1e-15)
 
 
 def test_zf_p2_vanishes_with_perfect_csi():
@@ -155,7 +159,7 @@ def test_zf_p2_vanishes_with_perfect_csi():
 
 
 def test_c_lb_direct_values():
-    pd = PowerDecomposition(p1=3.0, p2=0.25, p3=0.5, p4=0.25, omega=frozenset({0}))
+    pd = PowerTerms(p1=3.0, p2=0.25, p3=0.5, p4=0.25, omega=frozenset({0}))
     assert c_lb(pd) == pytest.approx(2.0, rel=1e-15)
     assert capacity_bits(0.0) == 0.0
 
@@ -187,8 +191,8 @@ def test_tin_log_ratio_identity(paper_drop):
     for prec in (Precoder.MRT, Precoder.ZF):
         for l in range(2):
             t = tin_lb(scenario, stats, 512, prec, (0, l))
-            both = c_lb(power_decomposition(scenario, stats, 512, prec, (0, l), (0, 1)))
-            other = c_lb(power_decomposition(scenario, stats, 512, prec, (0, l), (1 - l,)))
+            both = c_lb(power_terms(scenario, stats, 512, prec, (0, l), (0, 1)))
+            other = c_lb(power_terms(scenario, stats, 512, prec, (0, l), (1 - l,)))
             assert t == pytest.approx(both - other, abs=1e-9)
 
 
@@ -242,8 +246,31 @@ def test_every_decode_bound_reaches_one_bit_per_doubling(paper_drop):
 
 def test_link_budget_consistent(paper_drop):
     scenario, stats = paper_drop
-    theta, noise = link_budget(scenario, stats, 64, Precoder.MRT, (0, 0))
-    eff = effective_gain(scenario, stats, 64, Precoder.MRT, (0, 0))
-    pd = power_decomposition_mrt(scenario, stats, 64, (0, 0), omega=())
-    assert np.array_equal(theta, eff.theta)
-    assert noise == pd.noise
+    for prec in (Precoder.MRT, Precoder.ZF):
+        theta, noise = link_budget(scenario, stats, 64, prec, (0, 0))
+        eff = effective_gain(scenario, stats, 64, prec, (0, 0))
+        pd = power_decomposition(scenario, stats, 64, prec, (0, 0), omega=())
+        assert np.array_equal(theta, eff.theta)
+        assert noise == pd.noise
+
+
+def test_link_budget_noise_equals_reference_terms(paper_config):
+    # N is one closed form per precoder: lambda (proportional to M, or to
+    # 1/(M - K)) cancels in every noise term, and only coherent power
+    # depends on the decode set
+    omegas = [(), (0,), (1,), (0, 1)]
+    for drop in range(5):
+        scenario = build_scenario(paper_config, drop)
+        stats = compute_alpha(scenario)
+        K = scenario.users_per_cell
+        for prec in (Precoder.MRT, Precoder.ZF):
+            for rcvr in [(i, l) for i in (0, 7, 14) for l in (0, 1)]:
+                seen = set()
+                for M in (K + 2, 32, 1024, 10 ** 6):
+                    _, noise = link_budget(scenario, stats, M, prec, rcvr)
+                    terms = power_terms(scenario, stats, M, prec, rcvr, omega=())
+                    assert abs(noise - terms.noise) <= 1e-12 * terms.noise
+                    seen.add(noise)
+                    seen.update(power_decomposition(scenario, stats, M, prec, rcvr,
+                                                    om).noise for om in omegas)
+                assert len(seen) == 1, (drop, prec, rcvr, seen)
