@@ -23,7 +23,7 @@ from .harness import (SweepConfig, emit_plot_script, load_sweep_config,
                       parse_antenna_count, run_sweep, with_seed,
                       write_sweep_csv)
 from .mc_oracle import MIN_TRIALS, verification_rows, write_report_csv
-from .rate_core import Precoder
+from .rate_core import Precoder, decode_sets
 
 
 def _int_at_least(low: int):
@@ -104,6 +104,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _scenario_config(args)
     m_values = _verify_m_values(args.m, cfg.K)
+    omegas = decode_sets(cfg.L)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 0xC0FFEE)))
     rows = []
     for _ in range(args.combos):
@@ -112,7 +113,6 @@ def _cmd_verify(args) -> int:
         stats = compute_alpha(scenario)
         receiver = (int(rng.integers(cfg.K)), int(rng.integers(cfg.L)))
         precoder = Precoder.MRT if rng.integers(2) == 0 else Precoder.ZF
-        omegas = [(0,), (1,), (0, 1)]
         omega = omegas[int(rng.integers(len(omegas)))]
         M = m_values[int(rng.integers(len(m_values)))]
         rows.extend(verification_rows(scenario, stats, M, precoder, receiver,

@@ -19,7 +19,7 @@ from .estimation import compute_alpha
 from .geometry import (ScenarioConfig, build_scenario, parse_key_values,
                        scenario_config_from_dict)
 from .rate_core import Precoder
-from .schemes import sym_rate_pd, sym_rate_sd, sym_rate_snd, sym_rate_tin
+from .schemes import Budgets, rate_pd, rate_sd, rate_snd, rate_tin
 
 SCHEMES = ("TIN", "SD", "SND", "PD")
 PRACTICAL_M_VALUES = (32, 64, 128, 256, 512, 1024)
@@ -84,7 +84,8 @@ class SweepResult:
 
 
 def _evaluate_drop(config: SweepConfig, drop: int) -> dict:
-    """All (M, precoder, scheme) symmetric rates for one drop."""
+    """All (M, precoder, scheme) symmetric rates for one drop; each
+    (precoder, M) builds its link budgets once and every scheme reads them."""
     scenario = build_scenario(config.scenario, drop)
     stats = compute_alpha(scenario)
     i = config.pilot_index - 1
@@ -93,15 +94,15 @@ def _evaluate_drop(config: SweepConfig, drop: int) -> dict:
         prec = Precoder.parse(prec_name)
         for M in config.m_values:
             key = (M, prec_name.upper())
+            budgets = Budgets.of(scenario, stats, M, prec, i)
             if "TIN" in config.schemes:
-                out[key + ("TIN",)] = sym_rate_tin(scenario, stats, M, prec, i)
+                out[key + ("TIN",)] = rate_tin(budgets)
             if "SD" in config.schemes:
-                out[key + ("SD",)] = sym_rate_sd(scenario, stats, M, prec, i)
+                out[key + ("SD",)] = rate_sd(budgets)
             if "SND" in config.schemes:
-                out[key + ("SND",)] = sym_rate_snd(scenario, stats, M, prec, i)
+                out[key + ("SND",)] = rate_snd(budgets)
             if "PD" in config.schemes:
-                rate, split = sym_rate_pd(scenario, stats, M, prec, i,
-                                          grid=config.mu_grid)
+                rate, split = rate_pd(budgets, grid=config.mu_grid)
                 out[key + ("PD",)] = (rate, split.mu1, split.mu2)
     return out
 

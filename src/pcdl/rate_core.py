@@ -37,6 +37,7 @@ entries span ten-plus orders of magnitude.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -151,6 +152,13 @@ def power_decomposition(scenario: NetworkScenario, stats: EstimationStats,
     theta, noise = link_budget(scenario, stats, M, precoder, receiver)
     return PowerDecomposition(p1=math.fsum(float(theta[j]) ** 2 for j in omega),
                               noise=noise, omega=omega)
+
+
+def decode_sets(L: int) -> list[tuple[int, ...]]:
+    """Every nonempty decode set of L cells, by size, each size in
+    `itertools.combinations` order: (0,), (1,), (0, 1) for L = 2."""
+    return [omega for size in range(1, L + 1)
+            for omega in itertools.combinations(range(L), size)]
 
 
 def _check_omega(omega: frozenset, L: int) -> None:

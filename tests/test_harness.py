@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 import pcdl
+from pcdl import schemes
 from pcdl.cli import main as cli_main
-from pcdl.geometry import ScenarioConfig
-from pcdl.harness import (SweepConfig, emit_plot_script, load_sweep_config,
+from pcdl.estimation import compute_alpha
+from pcdl.geometry import ScenarioConfig, build_scenario
+from pcdl.harness import (DEFAULT_M_VALUES, SweepConfig, _evaluate_drop,
+                          emit_plot_script, load_sweep_config,
                           parse_antenna_count, run_sweep, sweep_config_from_dict,
                           with_seed, write_sweep_csv)
+from pcdl.mc_oracle import verification_rows, write_report_csv
+from pcdl.rate_core import Precoder
+from pcdl.schemes import sym_rate_pd, sym_rate_sd, sym_rate_snd, sym_rate_tin
 
 
 def small_sweep_config(**kw):
@@ -186,6 +192,93 @@ def test_cli_verify(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("quantity,")
     assert len(lines) > 2
+
+
+def _verify_report(tmp_path, cfg_lines, *args):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_lines, encoding="utf-8")
+    out = tmp_path / "verify.csv"
+    rc = cli_main(["verify", "--config", str(cfg), "--out", str(out), *args])
+    return rc, out.read_text(encoding="utf-8")
+
+
+def test_cli_verify_one_cell(tmp_path):
+    rc, report = _verify_report(tmp_path, "L = 1\nK = 4\nn_drops = 2\nschemes = TIN\n",
+                                "--m", "16", "--combos", "3", "--trials", "1000")
+    assert rc == 0
+    quantities = [line.split(",")[0] for line in report.splitlines()[1:]]
+    assert len(quantities) == 3 * 4
+    assert all(q.startswith('"p1_omega1@') for q in quantities[3::4])
+
+
+def test_cli_verify_draws_every_cell_into_a_decode_set(tmp_path):
+    _, report = _verify_report(tmp_path, "L = 3\nK = 4\nn_drops = 2\nschemes = TIN, SD\n",
+                               "--m", "16", "--combos", "8", "--trials", "1000")
+    tags = [line.split("@")[0].removeprefix('"p1_omega')
+            for line in report.splitlines() if line.startswith('"p1_omega')]
+    assert len(tags) == 8
+    assert any("3" in tag for tag in tags)
+
+
+def test_cli_verify_two_cell_report_unchanged(tmp_path):
+    # the decode sets of L = 2 in the order of the fixed list the draw used
+    # before every cell count had its own: same stream, same report
+    rc, report = _verify_report(tmp_path, "K = 4\nn_drops = 3\nseed = 5\n",
+                                "--m", "16,64", "--combos", "5", "--trials", "1000")
+    cfg = ScenarioConfig(K=4, n_drops=3, seed=5)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 0xC0FFEE)))
+    rows = []
+    for _ in range(5):
+        drop = int(rng.integers(cfg.n_drops))
+        scenario = build_scenario(cfg, drop)
+        stats = compute_alpha(scenario)
+        receiver = (int(rng.integers(cfg.K)), int(rng.integers(cfg.L)))
+        precoder = Precoder.MRT if rng.integers(2) == 0 else Precoder.ZF
+        omega = [(0,), (1,), (0, 1)][int(rng.integers(3))]
+        M = (16, 64)[int(rng.integers(2))]
+        rows.extend(verification_rows(scenario, stats, M, precoder, receiver,
+                                      omega, 1000, rng))
+    expect = tmp_path / "expect.csv"
+    write_report_csv(rows, str(expect))
+    assert rc == (1 if any(not r.passed for r in rows) else 0)
+    assert report == expect.read_text(encoding="utf-8")
+
+
+def test_evaluate_drop_equals_public_rates(paper_config):
+    # the harness shares one budget per (precoder, M) across the schemes;
+    # each public sym_rate_* builds its own: the floats must be the same
+    config = SweepConfig(scenario=paper_config)
+    assert config.m_values == DEFAULT_M_VALUES
+    for drop in range(5):
+        out = _evaluate_drop(config, drop)
+        scenario = build_scenario(paper_config, drop)
+        stats = compute_alpha(scenario)
+        for prec in (Precoder.MRT, Precoder.ZF):
+            for M in DEFAULT_M_VALUES:
+                key = (M, prec.name)
+                assert out[key + ("TIN",)] == sym_rate_tin(scenario, stats, M, prec, 0)
+                assert out[key + ("SD",)] == sym_rate_sd(scenario, stats, M, prec, 0)
+                assert out[key + ("SND",)] == sym_rate_snd(scenario, stats, M, prec, 0)
+                rate, split = sym_rate_pd(scenario, stats, M, prec, 0, grid=config.mu_grid)
+                assert out[key + ("PD",)] == (rate, split.mu1, split.mu2)
+
+
+def test_evaluate_drop_reads_each_budget_once(monkeypatch, paper_config):
+    calls = []
+    original = schemes.link_budget
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:5])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "link_budget", counted)
+    config = SweepConfig(scenario=paper_config)
+    expect = paper_config.L * len(config.m_values) * len(config.precoders)
+    for drop in range(5):
+        calls.clear()
+        _evaluate_drop(config, drop)
+        assert len(calls) == expect
+        assert len(set(calls)) == expect  # one per (M, precoder, receiver)
 
 
 def test_cli_seed_override(tmp_path):

@@ -6,7 +6,6 @@ import os
 import tempfile
 from dataclasses import fields
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,8 +41,7 @@ def test_snd_at_receiver_never_below_tin_or_sd(s_own, s_int, noise):
 @PROPERTY_SETTINGS
 @given(power, power, power, power, power, power)
 def test_pd_grid_holds_its_tin_corner(s1_own, s1_int, n1, s2_own, s2_int, n2):
-    values = _pd_symmetric_grid((s1_own, s1_int), n1, (s2_own, s2_int), n2,
-                                np.linspace(0.0, 1.0, 21))
+    values = _pd_symmetric_grid((s1_own, s1_int), n1, (s2_own, s2_int), n2, 21)
     tin = min(_tin(s1_own, s1_int, n1), _tin(s2_own, s2_int, n2))
     # mu = (1, 1): both cells send only outer layers, which is TIN
     assert abs(values[-1, -1] - tin) <= CLAMP_TOL_BITS

@@ -5,9 +5,9 @@ import pytest
 
 from pcdl.estimation import compute_alpha
 from pcdl.geometry import build_scenario
-from pcdl.rate_core import (Precoder, capacity_bits, effective_gain,
-                            lambda_mrt, lambda_zf, link_budget,
-                            power_decomposition)
+from pcdl.rate_core import (Precoder, capacity_bits, decode_sets,
+                            effective_gain, lambda_mrt, lambda_zf,
+                            link_budget, power_decomposition)
 from conftest import toy_scenario
 from reference import (PowerTerms, c_lb, p2_mrt_compact,
                        power_decomposition_mrt, power_decomposition_zf,
@@ -94,6 +94,12 @@ def test_power_decomposition_rejects_bad_omega(paper_drop):
     scenario, stats = paper_drop
     with pytest.raises(ValueError, match="omega entries"):
         power_decomposition(scenario, stats, 64, Precoder.MRT, (0, 0), omega=(2,))
+
+
+def test_decode_sets_cover_every_nonempty_subset_by_size():
+    assert decode_sets(1) == [(0,)]
+    assert decode_sets(2) == [(0,), (1,), (0, 1)]
+    assert decode_sets(3) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
 
 def test_mrt_single_cell_snr_slope():

@@ -204,7 +204,7 @@ def test_pd_grid_vectorization_matches_scalar_loop():
     s1, n1 = (900.0, 250.0), 1.3
     s2, n2 = (400.0, 30.0), 1.1
     mu = np.linspace(0.0, 1.0, 7)
-    grid = _pd_symmetric_grid(s1, n1, s2, n2, mu)
+    grid = _pd_symmetric_grid(s1, n1, s2, n2, len(mu))
     for i1, m1 in enumerate(mu):
         for i2, m2 in enumerate(mu):
             t1 = pd_terms_from_budget(*s1, n1, m1, m2)
@@ -263,12 +263,47 @@ def test_pd_tie_break_rule():
         theta, noise = link_budget(scenario, stats, 64, Precoder.MRT, (0, l))
         budgets.append(((float(theta[l]) ** 2, float(theta[1 - l]) ** 2), noise))
     mu = np.linspace(0.0, 1.0, grid)
-    values = _pd_symmetric_grid(*budgets[0], *budgets[1], mu)
+    values = _pd_symmetric_grid(*budgets[0], *budgets[1], grid)
     ties = np.argwhere(values == values.max())
     assert len(ties) > 1  # the fixture does produce a plateau
     expect = min((mu[i1] + mu[i2], mu[i1], mu[i2]) for i1, i2 in ties)
     assert rate == values.max()
     assert (split.mu1, split.mu2) == (expect[1], expect[2])
+
+
+def test_pd_grid_cache_is_read_only():
+    for grid in (5, 21, 101):
+        mu, m1, m2 = schemes._pd_mesh(grid)
+        np.testing.assert_array_equal(mu, np.linspace(0.0, 1.0, grid))
+        for cached in (mu, m1, m2):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.5
+
+
+def test_pd_grid_sizes_do_not_share_state(paper_drop):
+    scenario, stats = paper_drop
+    first = sym_rate_pd(scenario, stats, 256, Precoder.ZF, 0, grid=21)
+    mesh = schemes._pd_mesh(21)
+    for grid in (5, 21, 101):
+        sym_rate_pd(scenario, stats, 256, Precoder.ZF, 0, grid=grid)
+    assert sym_rate_pd(scenario, stats, 256, Precoder.ZF, 0, grid=21) == first
+    assert all(a is b for a, b in zip(schemes._pd_mesh(21), mesh))
+    np.testing.assert_array_equal(mesh[0], np.linspace(0.0, 1.0, 21))
+
+
+def test_pd_grid_values_are_fresh():
+    # rate_pd writes the (1, 1) corner of the value array in place, so each
+    # call must get an array of its own, apart from the cached mesh
+    s1, n1 = (900.0, 250.0), 1.3
+    s2, n2 = (400.0, 30.0), 1.1
+    first = _pd_symmetric_grid(s1, n1, s2, n2, 21)
+    assert first.flags.writeable
+    expect = first.copy()
+    first[-1, -1] = -1.0
+    second = _pd_symmetric_grid(s1, n1, s2, n2, 21)
+    np.testing.assert_array_equal(second, expect)
+    assert not any(np.shares_memory(first, a) for a in (second, *schemes._pd_mesh(21)))
 
 
 def test_pd_split_shrinks_for_large_m(paper_config):
