@@ -2,10 +2,11 @@
 
 Each drop d rebuilds the scenario from a seed derived as
 SeedSequence(entropy=(master_seed, d)), evaluates every requested
-(M, precoder, scheme) combination with the closed forms, and the harness
-aggregates means and sample standard deviations across drops. Aggregation is
-performed on the per-drop tables in drop order, so results do not depend on
-how the drops were scheduled.
+(M, precoder, scheme) combination with the closed forms, one link budget per
+precoder over all M, and its rates go into one column of a (key, drop)
+table. The harness aggregates means and sample standard deviations across
+drops from that table's rows, in drop order, so results do not depend on how
+the drops were scheduled.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    per_drop: dict  # (M, scheme, precoder) -> (n_drops,) array, kept for analysis
+    per_drop: dict  # (M, precoder, scheme) -> read-only (n_drops,) row, kept for analysis
 
     def row(self, M: int, scheme: str, precoder: str) -> SweepRow:
         for r in self.rows:
@@ -83,60 +84,73 @@ class SweepResult:
         raise KeyError((M, scheme, precoder))
 
 
-def _evaluate_drop(config: SweepConfig, drop: int) -> dict:
-    """All (M, precoder, scheme) symmetric rates for one drop; each
-    (precoder, M) builds its link budgets once and every scheme reads them."""
+_RATES = {"TIN": rate_tin, "SD": rate_sd, "SND": rate_snd}
+
+
+def _columns(schemes: tuple[str, ...]) -> tuple[str, ...]:
+    """The per-drop table's columns for each (precoder, M): one rate per
+    scheme, then PD's split (mu1, mu2) if PD runs."""
+    return tuple(schemes) + (("PD mu1", "PD mu2") if "PD" in schemes else ())
+
+
+def _evaluate_drop(config: SweepConfig, drop: int) -> np.ndarray:
+    """All symmetric rates of one drop, shape (precoder, column, M) with the
+    columns of `_columns`. Each precoder builds its link budgets once,
+    over every M, and every scheme reads them."""
     scenario = build_scenario(config.scenario, drop)
     stats = compute_alpha(scenario)
     i = config.pilot_index - 1
-    out = {}
-    for prec_name in config.precoders:
-        prec = Precoder.parse(prec_name)
-        for M in config.m_values:
-            key = (M, prec_name.upper())
-            budgets = Budgets.of(scenario, stats, M, prec, i)
-            if "TIN" in config.schemes:
-                out[key + ("TIN",)] = rate_tin(budgets)
-            if "SD" in config.schemes:
-                out[key + ("SD",)] = rate_sd(budgets)
-            if "SND" in config.schemes:
-                out[key + ("SND",)] = rate_snd(budgets)
-            if "PD" in config.schemes:
-                rate, split = rate_pd(budgets, grid=config.mu_grid)
-                out[key + ("PD",)] = (rate, split.mu1, split.mu2)
+    columns = _columns(config.schemes)
+    out = np.empty((len(config.precoders), len(columns), len(config.m_values)))
+    for p, prec_name in enumerate(config.precoders):
+        budgets = Budgets.of(scenario, stats, config.m_values, Precoder.parse(prec_name), i)
+        for c, scheme in enumerate(config.schemes):
+            if scheme == "PD":
+                out[p, c], out[p, -2], out[p, -1] = rate_pd(budgets, grid=config.mu_grid)
+            else:
+                out[p, c] = _RATES[scheme](budgets)
     return out
 
 
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     n = config.scenario.n_drops
+    n_p, n_s, n_m = len(config.precoders), len(config.schemes), len(config.m_values)
+    # the rates, a (precoder, scheme, M, drop) table: each row holds one value
+    # per drop, contiguous, as the aggregates read it; the result keeps it.
+    # PD's splits go to a table of their own that only their means outlive.
+    rates = np.empty((n_p, n_s, n_m, n))
+    splits = np.empty((n_p, len(_columns(config.schemes)) - n_s, n_m, n))
+
+    def fill(drops):
+        for d, values in enumerate(drops):
+            rates[..., d], splits[..., d] = values[:, :n_s], values[:, n_s:]
+
     if threads > 1:
         # imported here: it costs every start-up of pcdl about 2 MB and 20 ms
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            drops = list(pool.map(_evaluate_drop, [config] * n, range(n), chunksize=4))
+            fill(pool.map(_evaluate_drop, [config] * n, range(n), chunksize=4))
     else:
-        drops = [_evaluate_drop(config, d) for d in range(n)]
+        fill(_evaluate_drop(config, d) for d in range(n))
+    rates.flags.writeable = False
 
     rows = []
     per_drop = {}
-    for prec_name in config.precoders:
+    for p, prec_name in enumerate(config.precoders):
         prec = prec_name.upper()
-        for M in config.m_values:
-            for scheme in config.schemes:
-                key = (M, prec, scheme)
-                vals = [d[key] for d in drops]
+        for m, M in enumerate(config.m_values):
+            for c, scheme in enumerate(config.schemes):
+                se = rates[p, c, m]
                 if scheme == "PD":
-                    se = np.array([v[0] for v in vals])
-                    mu1 = float(np.mean([v[1] for v in vals]))
-                    mu2 = float(np.mean([v[2] for v in vals]))
+                    mu1 = float(np.mean(splits[p, 0, m]))
+                    mu2 = float(np.mean(splits[p, 1, m]))
                 else:
-                    se = np.array(vals)
                     mu1 = mu2 = None
                 std = float(se.std(ddof=1)) if n > 1 else 0.0
                 rows.append(SweepRow(M=M, scheme=scheme, precoder=prec,
                                      mean_se=float(se.mean()), std_se=std,
                                      n_drops=n, mean_mu1=mu1, mean_mu2=mu2))
-                per_drop[key] = se
+                per_drop[(M, prec, scheme)] = se
     return SweepResult(rows=tuple(rows), per_drop=per_drop)
 
 

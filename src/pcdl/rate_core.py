@@ -30,6 +30,13 @@ coherent part theta_j^2, never its uncertainty. The term-by-term split
 these forms sum lives with the tests (`tests/reference.py`), which check N
 against it.
 
+Only lambda_j carries M: it is proportional to M (MRT) or to 1/(M - K) (ZF),
+and N does not depend on M at all. So `link_budgets` builds a receiver's
+budget for every M of a sweep in one pass: the sums over users are taken
+once, and each M costs a few array multiplications. `effective_gain`,
+`link_budget` and `power_decomposition` read that one implementation at a
+single M.
+
 All sums run in linear scale with compensated summation (math.fsum); beta
 entries span ten-plus orders of magnitude.
 """
@@ -79,68 +86,108 @@ class PowerDecomposition:
     omega: frozenset[int]
 
 
-def capacity_bits(snr: float) -> float:
-    """Gaussian capacity log2(1 + snr) in bits."""
-    return float(np.log2(1.0 + snr))
+def capacity_bits(snr):
+    """Gaussian capacity log2(1 + snr) in bits: a float for a scalar snr, an
+    array of the same shape for an array."""
+    bits = np.log2(1.0 + snr)
+    return bits if isinstance(bits, np.ndarray) else float(bits)
+
+
+def _check_receiver(scenario: NetworkScenario, receiver: tuple[int, int]) -> tuple[int, int]:
+    i, l = receiver
+    if not (0 <= i < scenario.users_per_cell and 0 <= l < scenario.n_cells):
+        raise ValueError(f"receiver {receiver} out of range")
+    return i, l
+
+
+def _normalization(scenario: NetworkScenario, stats: EstimationStats,
+                   m_values, precoder: Precoder) -> np.ndarray:
+    """lambda_j at every M in m_values, shape (n_M, L).
+
+    The sum over cell j's users does not depend on M; it is taken once and
+    scaled by the M factor: (M/K) under MRT, 1/(K (M - K)) under ZF.
+    """
+    K = scenario.users_per_cell
+    gam = stats.gamma()
+    M = np.asarray(m_values, dtype=float)[:, None]
+    if precoder is Precoder.MRT:
+        if min(m_values) < 1:
+            raise ValueError("M must be >= 1")
+        return (M / K) * np.array([math.fsum(g) for g in gam])
+    low = [m for m in m_values if m <= K]
+    if low:
+        raise ValueError(f"ZF requires M > K (got M={low[0]}, K={K})")
+    return np.array([math.fsum(1.0 / g) for g in gam]) / (K * (M - K))
 
 
 def lambda_mrt(scenario: NetworkScenario, stats: EstimationStats,
                M: int, j: int) -> float:
     """MRT power normalization (M/K) * sum_k estimate-variance of own links."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    gam = stats.gamma()[j]
-    return (M / scenario.users_per_cell) * math.fsum(gam)
+    return float(_normalization(scenario, stats, (M,), Precoder.MRT)[0, j])
 
 
 def lambda_zf(scenario: NetworkScenario, stats: EstimationStats,
               M: int, j: int) -> float:
     """ZF power normalization; needs M > K (pseudo-inverse excess dimensions)."""
-    K = scenario.users_per_cell
-    if M <= K:
-        raise ValueError(f"ZF requires M > K (got M={M}, K={K})")
-    gam = stats.gamma()[j]
-    return math.fsum(1.0 / g for g in gam) / (K * (M - K))
+    return float(_normalization(scenario, stats, (M,), Precoder.ZF)[0, j])
 
 
-def effective_gain(scenario: NetworkScenario, stats: EstimationStats, M: int,
-                   precoder: Precoder, receiver: tuple[int, int]) -> EffectiveChannel:
-    """Per-cell mean effective gains theta_j at receiver (i, l).
+def _gains(scenario: NetworkScenario, stats: EstimationStats, m_values,
+           precoder: Precoder, i: int):
+    """(theta, lam): theta[m, l, j], the gain of cell j at receiver (i, l),
+    and lam[m, j], for every M in m_values.
 
     MRT: theta_j = sqrt(rho_d/lam_j) * M * sqrt(rho_p) * beta[j,i,l] * alpha[j,i,j]
     ZF:  theta_j = sqrt(rho_d/lam_j) * beta[j,i,l] / beta[j,i,j]
     """
-    i, l = receiver
-    L = scenario.n_cells
-    if not (0 <= i < scenario.users_per_cell and 0 <= l < L):
-        raise ValueError(f"receiver {receiver} out of range")
-    beta, alpha = scenario.beta, stats.alpha
-    srp = math.sqrt(scenario.rho_p)
-    theta = np.zeros(L)
-    lam = np.zeros(L)
-    for j in range(L):
-        if precoder is Precoder.MRT:
-            lam[j] = lambda_mrt(scenario, stats, M, j)
-            theta[j] = math.sqrt(scenario.rho_d / lam[j]) * M * srp * beta[j, i, l] * alpha[j, i, j]
-        else:
-            lam[j] = lambda_zf(scenario, stats, M, j)
-            theta[j] = math.sqrt(scenario.rho_d / lam[j]) * beta[j, i, l] / beta[j, i, j]
-    return EffectiveChannel(receiver=(i, l), theta=theta, lam=lam)
+    lam = _normalization(scenario, stats, m_values, precoder)
+    own = np.arange(scenario.n_cells)
+    cross = scenario.beta[:, i, :].T                   # (l, j)
+    amp = np.sqrt(scenario.rho_d / lam)                # (m, j)
+    if precoder is Precoder.MRT:
+        M = np.asarray(m_values, dtype=float)[:, None]
+        amp = amp * M * math.sqrt(scenario.rho_p)
+        theta = amp[:, None, :] * cross * stats.alpha[own, i, own]
+    else:
+        theta = amp[:, None, :] * cross / scenario.beta[own, i, own]
+    return theta, lam
+
+
+def _noise(scenario: NetworkScenario, stats: EstimationStats,
+           precoder: Precoder, i: int) -> np.ndarray:
+    """N at every receiver (i, l), shape (L,); it does not depend on M."""
+    beta = scenario.beta[:, i, :]                      # (j, l)
+    if precoder is Precoder.ZF:
+        beta = beta * (1.0 - math.sqrt(scenario.rho_p) * stats.alpha[:, i, :])
+    K = scenario.users_per_cell
+    return np.array([1.0 + scenario.rho_d * K * math.fsum(b) for b in beta.T])
+
+
+def link_budgets(scenario: NetworkScenario, stats: EstimationStats, m_values,
+                 precoder: Precoder, i: int):
+    """(theta, N) at every receiver (i, l) and every M in m_values: theta
+    with shape (n_M, L, L), theta[m, l, j] the gain of cell j at receiver
+    (i, l), and N with shape (L,). The one implementation of the link budget;
+    the scalar functions below read it at one M."""
+    _check_receiver(scenario, (i, 0))
+    return (_gains(scenario, stats, m_values, precoder, i)[0],
+            _noise(scenario, stats, precoder, i))
+
+
+def effective_gain(scenario: NetworkScenario, stats: EstimationStats, M: int,
+                   precoder: Precoder, receiver: tuple[int, int]) -> EffectiveChannel:
+    """Per-cell mean effective gains theta_j at receiver (i, l), at one M."""
+    i, l = _check_receiver(scenario, receiver)
+    theta, lam = _gains(scenario, stats, (M,), precoder, i)
+    return EffectiveChannel(receiver=(i, l), theta=theta[0, l], lam=lam[0])
 
 
 def link_budget(scenario: NetworkScenario, stats: EstimationStats, M: int,
                 precoder: Precoder, receiver: tuple[int, int]):
-    """(theta, effective noise power N) at one receiver; the common input of
-    every per-scheme rate expression."""
-    theta = effective_gain(scenario, stats, M, precoder, receiver).theta
-    i, l = receiver
-    beta, K = scenario.beta[:, i, l], scenario.users_per_cell
-    if precoder is Precoder.MRT:
-        noise = 1.0 + scenario.rho_d * K * math.fsum(beta)
-    else:
-        err = beta * (1.0 - math.sqrt(scenario.rho_p) * stats.alpha[:, i, l])
-        noise = 1.0 + scenario.rho_d * K * math.fsum(err)
-    return theta, noise
+    """(theta, effective noise power N) at one receiver and one M."""
+    i, l = _check_receiver(scenario, receiver)
+    theta, noise = link_budgets(scenario, stats, (M,), precoder, i)
+    return theta[0, l], float(noise[l])
 
 
 def power_decomposition(scenario: NetworkScenario, stats: EstimationStats,

@@ -2,6 +2,9 @@
 
 None of this is on a path `sweep`, `verify` or `scenario` runs:
 
+- the per-cell loop that built the gains theta one M and one cell at a
+  time, in the operation order `rate_core.link_budgets` keeps
+  (`theta_per_cell`);
 - the term-by-term power split of a decode set (`PowerTerms`,
   `power_decomposition_mrt`, `power_decomposition_zf`, `power_terms`), the
   route the closed-form noise of `rate_core.link_budget` is checked against,
@@ -10,7 +13,8 @@ None of this is on a path `sweep`, `verify` or `scenario` runs:
   and the TIN bound of one receiver (`tin_lb`);
 - explicit 2-cell rate regions reduced to the diagonal by bisection
   (`RateRegion2`, `snd_region`, `intersect`) and the layered PD bounds one
-  split at a time (`pd_terms_from_budget`, `pd_mi_terms`);
+  split at a time (`pd_terms_from_budget`, `pd_mi_terms`), and the PD
+  grid's tie-break by search over every maximum (`pd_tie_break`);
 - the M-dimensional channel path the Gram-matrix oracle is tested against
   (`sample_channels`, `ChannelRealization`, `zf_precoder`) and the MRT
   channel-hardening table (`hardening_check`);
@@ -35,6 +39,32 @@ from pcdl.rate_core import (PowerDecomposition, Precoder, _check_omega,
                             capacity_bits, effective_gain, lambda_mrt,
                             lambda_zf, link_budget)
 from pcdl.schemes import PdSplit
+
+
+# --- the gains one cell at a time -----------------------------------------
+
+def theta_per_cell(scenario: NetworkScenario, stats: EstimationStats, M: int,
+                   precoder: Precoder, receiver: tuple[int, int]) -> np.ndarray:
+    """theta_j at receiver (i, l) for one M, cell by cell:
+
+    MRT: lam_j = (M/K) fsum_k gamma_jk,
+         theta_j = sqrt(rho_d/lam_j) * M * sqrt(rho_p) * beta[j,i,l] * alpha[j,i,j]
+    ZF:  lam_j = fsum_k (1/gamma_jk) / (K (M - K)),
+         theta_j = sqrt(rho_d/lam_j) * beta[j,i,l] / beta[j,i,j]
+    """
+    i, l = receiver
+    K = scenario.users_per_cell
+    beta, alpha, gam = scenario.beta, stats.alpha, stats.gamma()
+    theta = np.zeros(scenario.n_cells)
+    for j in range(scenario.n_cells):
+        if precoder is Precoder.MRT:
+            lam = (M / K) * math.fsum(gam[j])
+            theta[j] = (math.sqrt(scenario.rho_d / lam) * M * math.sqrt(scenario.rho_p)
+                        * beta[j, i, l] * alpha[j, i, j])
+        else:
+            lam = math.fsum(1.0 / g for g in gam[j]) / (K * (M - K))
+            theta[j] = math.sqrt(scenario.rho_d / lam) * beta[j, i, l] / beta[j, i, j]
+    return theta
 
 
 # --- term-by-term power split ----------------------------------------------
@@ -298,6 +328,14 @@ def pd_mi_terms(scenario: NetworkScenario, stats: EstimationStats, M: int,
     mu_own, mu_int = ((split.mu1, split.mu2) if receiver_cell == 0
                       else (split.mu2, split.mu1))
     return pd_terms_from_budget(s_own, s_int, noise, mu_own, mu_int)
+
+
+def pd_tie_break(values: np.ndarray, mu: np.ndarray) -> tuple[int, int]:
+    """(i1, i2) of the PD grid's best split: among every entry equal to the
+    maximum, the smallest (mu1 + mu2, mu1), then (i1, i2)."""
+    idx = np.argwhere(values == values.max())
+    keys = [(mu[i1] + mu[i2], mu[i1], int(i1), int(i2)) for i1, i2 in idx]
+    return min(keys)[2:]
 
 
 # --- the M-dimensional channel path ----------------------------------------

@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from pcdl import schemes
 from pcdl.cli import main as cli_main
 from pcdl.estimation import compute_alpha
 from pcdl.geometry import ScenarioConfig, build_scenario
-from pcdl.harness import (DEFAULT_M_VALUES, SweepConfig, _evaluate_drop,
+from pcdl.harness import (DEFAULT_M_VALUES, SweepConfig, _columns, _evaluate_drop,
                           emit_plot_script, load_sweep_config,
                           parse_antenna_count, run_sweep, sweep_config_from_dict,
                           with_seed, write_sweep_csv)
@@ -78,6 +80,24 @@ def test_sweep_reproducible_csv(tmp_path):
 def test_sweep_threads_match_serial(small_result):
     threaded = run_sweep(small_sweep_config(), threads=2)
     assert threaded.rows == small_result.rows
+
+
+def test_sweep_threads_give_the_same_table_and_csv(tmp_path, small_result):
+    threaded = run_sweep(small_sweep_config(), threads=2)
+    assert threaded.per_drop.keys() == small_result.per_drop.keys()
+    for key, serial in small_result.per_drop.items():
+        np.testing.assert_array_equal(threaded.per_drop[key], serial)
+    paths = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+    write_sweep_csv(small_result, str(paths[0]))
+    write_sweep_csv(threaded, str(paths[1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_per_drop_rows_are_read_only(small_result):
+    for row in small_result.per_drop.values():
+        assert row.shape == (3,) and not row.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
 
 
 def test_csv_format(tmp_path, small_result):
@@ -249,36 +269,51 @@ def test_evaluate_drop_equals_public_rates(paper_config):
     # each public sym_rate_* builds its own: the floats must be the same
     config = SweepConfig(scenario=paper_config)
     assert config.m_values == DEFAULT_M_VALUES
+    assert config.precoders == ("MRT", "ZF")
+    column = {name: c for c, name in enumerate(_columns(config.schemes))}
     for drop in range(5):
         out = _evaluate_drop(config, drop)
         scenario = build_scenario(paper_config, drop)
         stats = compute_alpha(scenario)
-        for prec in (Precoder.MRT, Precoder.ZF):
-            for M in DEFAULT_M_VALUES:
-                key = (M, prec.name)
-                assert out[key + ("TIN",)] == sym_rate_tin(scenario, stats, M, prec, 0)
-                assert out[key + ("SD",)] == sym_rate_sd(scenario, stats, M, prec, 0)
-                assert out[key + ("SND",)] == sym_rate_snd(scenario, stats, M, prec, 0)
+        for p, prec in enumerate((Precoder.MRT, Precoder.ZF)):
+            for m, M in enumerate(DEFAULT_M_VALUES):
+                at = {name: out[p, c, m] for name, c in column.items()}
+                assert at["TIN"] == sym_rate_tin(scenario, stats, M, prec, 0)
+                assert at["SD"] == sym_rate_sd(scenario, stats, M, prec, 0)
+                assert at["SND"] == sym_rate_snd(scenario, stats, M, prec, 0)
                 rate, split = sym_rate_pd(scenario, stats, M, prec, 0, grid=config.mu_grid)
-                assert out[key + ("PD",)] == (rate, split.mu1, split.mu2)
+                assert (at["PD"], at["PD mu1"], at["PD mu2"]) == (rate, split.mu1, split.mu2)
 
 
 def test_evaluate_drop_reads_each_budget_once(monkeypatch, paper_config):
+    # one budget build per (drop, precoder), covering every M at once
     calls = []
-    original = schemes.link_budget
+    original = schemes.link_budgets
 
     def counted(*args, **kwargs):
-        calls.append(args[2:5])
+        calls.append((tuple(args[2]), args[3], args[4]))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(schemes, "link_budget", counted)
+    monkeypatch.setattr(schemes, "link_budgets", counted)
     config = SweepConfig(scenario=paper_config)
-    expect = paper_config.L * len(config.m_values) * len(config.precoders)
     for drop in range(5):
         calls.clear()
         _evaluate_drop(config, drop)
-        assert len(calls) == expect
-        assert len(set(calls)) == expect  # one per (M, precoder, receiver)
+        assert calls == [(config.m_values, Precoder.parse(p), 0) for p in config.precoders]
+
+
+# sha256 of the CSV `pcdl sweep --config configs/reference_sweep.cfg` writes.
+# A change that moves any bit of it updates this pin and writes up why.
+REFERENCE_SWEEP_SHA256 = "e0f954993fd40189f725290117fa888b4a8cff825254cfcb65e4e2a4b0bb9a38"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reference_sweep_csv_is_pinned(tmp_path, threads):
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "reference_sweep.cfg"
+    out = tmp_path / "reference.csv"
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_SWEEP_SHA256
 
 
 def test_cli_seed_override(tmp_path):

@@ -5,13 +5,14 @@ import pytest
 
 from pcdl.estimation import compute_alpha
 from pcdl.geometry import build_scenario
+from pcdl.harness import DEFAULT_M_VALUES
 from pcdl.rate_core import (Precoder, capacity_bits, decode_sets,
                             effective_gain, lambda_mrt, lambda_zf,
-                            link_budget, power_decomposition)
+                            link_budget, link_budgets, power_decomposition)
 from conftest import toy_scenario
 from reference import (PowerTerms, c_lb, p2_mrt_compact,
                        power_decomposition_mrt, power_decomposition_zf,
-                       power_terms, tin_lb)
+                       power_terms, theta_per_cell, tin_lb)
 
 
 def unit_scenario(rho_p=1.0, rho_d=1.0):
@@ -280,3 +281,43 @@ def test_link_budget_noise_equals_reference_terms(paper_config):
                     seen.update(power_decomposition(scenario, stats, M, prec, rcvr,
                                                     om).noise for om in omegas)
                 assert len(seen) == 1, (drop, prec, rcvr, seen)
+
+
+def test_link_budgets_over_m_equal_the_single_m_reads(paper_config):
+    # one pass per (drop, precoder, pilot index) gives every M; each entry is
+    # the same float the single-M functions and the per-cell loop give
+    K, L = paper_config.K, paper_config.L
+    m_values = sorted(set(DEFAULT_M_VALUES) | {K + 1, K + 2, 2 ** 20})
+    for drop in range(5):
+        scenario = build_scenario(paper_config, drop)
+        stats = compute_alpha(scenario)
+        for prec in (Precoder.MRT, Precoder.ZF):
+            for i in range(K):
+                theta, noise = link_budgets(scenario, stats, m_values, prec, i)
+                assert theta.shape == (len(m_values), L, L) and noise.shape == (L,)
+                for m, M in enumerate(m_values):
+                    for l in range(L):
+                        eff = effective_gain(scenario, stats, M, prec, (i, l))
+                        t, n = link_budget(scenario, stats, M, prec, (i, l))
+                        assert np.array_equal(theta[m, l], eff.theta)
+                        assert np.array_equal(theta[m, l], t) and noise[l] == n
+                        assert np.array_equal(theta[m, l],
+                                              theta_per_cell(scenario, stats, M, prec, (i, l)))
+
+
+def test_link_budgets_reject_zf_at_m_le_k(paper_drop):
+    scenario, stats = paper_drop
+    K = scenario.users_per_cell
+    for m_values in ((K,), (K - 1, K + 1), (32, K)):
+        with pytest.raises(ValueError, match=f"ZF requires M > K \\(got M={min(m_values)}"):
+            link_budgets(scenario, stats, m_values, Precoder.ZF, 0)
+    with pytest.raises(ValueError, match="ZF requires M > K"):
+        effective_gain(scenario, stats, K, Precoder.ZF, (0, 0))
+    link_budgets(scenario, stats, (K + 1,), Precoder.ZF, 0)
+
+
+def test_link_budgets_reject_a_bad_pilot_index(paper_drop):
+    scenario, stats = paper_drop
+    for i in (-1, scenario.users_per_cell):
+        with pytest.raises(ValueError, match="out of range"):
+            link_budgets(scenario, stats, (64,), Precoder.MRT, i)

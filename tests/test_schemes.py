@@ -7,14 +7,14 @@ import pytest
 from pcdl.estimation import compute_alpha
 from pcdl.geometry import build_scenario
 from pcdl.harness import DEFAULT_M_VALUES
-from pcdl.rate_core import Precoder, link_budget
+from pcdl.rate_core import Precoder, capacity_bits, link_budget
 from pcdl import schemes
 from pcdl.schemes import (PdSplit, _pd_symmetric_grid, _snd_at_receiver,
                           sym_rate_pd, sym_rate_sd, sym_rate_snd, sym_rate_tin)
 from conftest import toy_scenario
 from reference import (MiTerms2, RateRegion2, RegionConstraint, intersect,
-                       mi_terms, pd_mi_terms, pd_terms_from_budget, snd_region,
-                       tin_lb)
+                       mi_terms, pd_mi_terms, pd_terms_from_budget, pd_tie_break,
+                       snd_region, tin_lb)
 
 
 def random_mi_triple(rng):
@@ -271,6 +271,38 @@ def test_pd_tie_break_rule():
     assert (split.mu1, split.mu2) == (expect[1], expect[2])
 
 
+@pytest.mark.parametrize("grid", [2, 3, 5, 21, 101])
+def test_pd_tie_order_matches_the_search_over_every_maximum(grid):
+    mu = schemes._pd_mesh(grid)[0]
+    i1, i2 = np.meshgrid(np.arange(grid), np.arange(grid), indexing="ij")
+    rng = np.random.default_rng(grid)
+    cases = {
+        "constant": np.full((grid, grid), 0.7),
+        "diagonal": np.where(i1 == i2, 2.0, 1.0),
+        "anti-diagonal": np.where(i1 + i2 == grid - 1, 2.0, 1.0),
+        "equal mu1 + mu2": np.where(i1 + i2 == grid // 2, 2.0, 1.0),
+        "few levels": rng.integers(0, 3, (grid, grid)).astype(float),
+        "distinct": rng.random((grid, grid)),
+        # the smaller mu1 + mu2 wins over the smaller mu1
+        "sum before mu1": np.where(((i1 == 1) & (i2 == 1)) | ((i1 == 0) & (i2 == grid - 1)),
+                                   2.0, 1.0),
+    }
+    for name, values in cases.items():
+        best, b1, b2 = schemes._pd_argmax(values)
+        assert best == values.max()
+        assert (b1, b2) == pd_tie_break(values, mu), name
+
+
+def test_pd_tie_order_cache_is_read_only():
+    for grid in (2, 5, 21, 101):
+        order = schemes._pd_tie_order(grid)
+        assert order is schemes._pd_tie_order(grid)
+        np.testing.assert_array_equal(np.sort(order), np.arange(grid * grid))
+        assert not order.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = 1
+
+
 def test_pd_grid_cache_is_read_only():
     for grid in (5, 21, 101):
         mu, m1, m2 = schemes._pd_mesh(grid)
@@ -394,3 +426,31 @@ def test_schemes_read_only_the_link_budget():
     for name in ("power_decomposition", "c_lb"):
         assert not hasattr(schemes, name)
         assert name not in inspect.getsource(schemes)
+
+
+def test_three_cell_sums_stay_compensated():
+    # receiver 0 sees 1 + 1e-16 + 1e-16: summed left to right that is 1.0,
+    # correctly rounded (math.fsum) it is 1 + 2^-52
+    tiny = 1e-16
+    S = np.array([[[4.0, tiny, tiny], [tiny, 4.0, tiny], [tiny, tiny, 4.0]]])
+    b = schemes.Budgets(S=S, N=np.ones(3), precoder=Precoder.MRT, M=(64,), i=0)
+    den = math.fsum([1.0, tiny, tiny])
+    assert den != (1.0 + tiny) + tiny
+    assert schemes.rate_tin(b)[0] == capacity_bits(4.0 / den)
+    assert schemes.rate_sd(b)[0] == min(
+        capacity_bits(math.fsum(S[0, l, list(omega)]) / 1.0) / len(omega)
+        for l in range(3) for omega in schemes.decode_sets(3))
+
+
+def test_three_cell_tin_equals_the_reference_bound(paper_config):
+    from dataclasses import replace
+    config = replace(paper_config, L=3)
+    for drop in range(3):
+        scenario = build_scenario(config, drop)
+        stats = compute_alpha(scenario)
+        for prec in (Precoder.MRT, Precoder.ZF):
+            b = schemes.Budgets.of(scenario, stats, DEFAULT_M_VALUES, prec, 0)
+            tin = schemes.rate_tin(b)
+            for m, M in enumerate(DEFAULT_M_VALUES):
+                assert tin[m] == min(tin_lb(scenario, stats, M, prec, (0, l))
+                                     for l in range(3))
