@@ -8,7 +8,7 @@ from .geometry import (NetworkScenario, ScenarioConfig, build_beta,
 from .harness import SweepConfig, SweepResult, run_sweep, write_sweep_csv
 from .mc_oracle import EmpiricalMoments, empirical_moments
 from .rate_core import (EffectiveChannel, PowerDecomposition, Precoder,
-                        effective_gain, lambda_mrt, lambda_zf, link_budget)
+                        effective_gain, link_budget)
 from .schemes import (PdSplit, sym_rate_pd, sym_rate_sd, sym_rate_snd,
                       sym_rate_tin)
 
@@ -21,7 +21,7 @@ __all__ = [
     "SweepConfig", "SweepResult", "run_sweep", "write_sweep_csv",
     "EmpiricalMoments", "empirical_moments",
     "EffectiveChannel", "PowerDecomposition", "Precoder",
-    "effective_gain", "lambda_mrt", "lambda_zf", "link_budget",
+    "effective_gain", "link_budget",
     "PdSplit", "sym_rate_pd", "sym_rate_sd", "sym_rate_snd", "sym_rate_tin",
     "__version__",
 ]

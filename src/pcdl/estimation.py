@@ -80,12 +80,11 @@ class EstimationStats:
 
     alpha: np.ndarray    # (L, K, L)
     est_var: np.ndarray  # (L, K, L) per-antenna estimate variance
-    err_var: np.ndarray  # (L, K) per-antenna own-link error variance
 
     def __post_init__(self):
         # every precoder normalization reads gamma(); extract it once
         object.__setattr__(self, "_gamma", own_links(self.est_var))
-        for arr in (self.alpha, self.est_var, self.err_var, self._gamma):
+        for arr in (self.alpha, self.est_var, self._gamma):
             arr.flags.writeable = False
 
     def gamma(self) -> np.ndarray:
@@ -99,5 +98,4 @@ def compute_alpha(scenario: NetworkScenario) -> EstimationStats:
     denom = 1.0 + scenario.rho_p * beta.sum(axis=2)  # (L, K), shared per pilot
     alpha = srp * beta / denom[:, :, None]
     est_var = srp * beta * alpha
-    err_var = own_links(beta) * (1.0 - srp * own_links(alpha))
-    return EstimationStats(alpha=alpha, est_var=est_var, err_var=err_var)
+    return EstimationStats(alpha=alpha, est_var=est_var)

@@ -95,13 +95,14 @@ def hex_apothem(radius: float) -> float:
     return 0.5 * SQRT3 * radius
 
 
-def hexagon_contains(x: float, y: float, radius: float) -> bool:
+def hexagon_contains(x, y, radius: float):
     """Membership test for a hexagon centered at the origin with two vertical
-    edges at x = +-apothem (vertices at +-radius on the y axis)."""
+    edges at x = +-apothem (vertices at +-radius on the y axis); elementwise
+    over arrays x and y."""
     a = hex_apothem(radius)
-    return (abs(x) <= a
-            and abs(0.5 * x + 0.5 * SQRT3 * y) <= a
-            and abs(0.5 * x - 0.5 * SQRT3 * y) <= a)
+    return ((np.abs(x) <= a)
+            & (np.abs(0.5 * x + 0.5 * SQRT3 * y) <= a)
+            & (np.abs(0.5 * x - 0.5 * SQRT3 * y) <= a))
 
 
 def bs_layout(L: int, radius: float) -> np.ndarray:
@@ -122,29 +123,31 @@ def path_loss_db(d3d_m: float, fc_ghz: float, ue_height_m: float) -> float:
             + 0.6 * (ue_height_m - 1.5))
 
 
-def _sample_hexagon_point(rng: np.random.Generator, radius: float, min_dist: float):
-    """Uniform point in the hexagon, at least min_dist from the center.
-
-    Rejection from the bounding box; terminates since min_dist < radius.
-    """
-    a = hex_apothem(radius)
-    while True:
-        x = rng.uniform(-a, a)
-        y = rng.uniform(-radius, radius)
-        if hexagon_contains(x, y, radius) and math.hypot(x, y) >= min_dist:
-            return x, y
-
-
 def place_users(config: ScenarioConfig, rng: np.random.Generator) -> NetworkScenario:
-    """Drop K users uniformly in each hexagon (2-D own-BS distance floor applied)."""
+    """Drop K users uniformly in each hexagon (2-D own-BS distance floor applied).
+
+    Candidates (x, y) are drawn from the bounding box in batches and accepted
+    in draw order, cell 0's K users first: the order of one scalar rejection
+    loop per user. A batch may draw candidates it does not keep, so an
+    external rng advances past them.
+    """
     L, K = config.L, config.K
-    centers = bs_layout(L, config.cell_radius_m)
-    pos = np.zeros((L, K, 2))
-    for l in range(L):
-        for k in range(K):
-            x, y = _sample_hexagon_point(rng, config.cell_radius_m, config.min_bs_distance_m)
-            pos[l, k, 0] = centers[l, 0] + x
-            pos[l, k, 1] = centers[l, 1] + y
+    r, a = config.cell_radius_m, hex_apothem(config.cell_radius_m)
+    draws, masks, n_ok = [], [], 0
+    while n_ok < L * K:
+        xy = rng.uniform((-a, -r), (a, r), size=(2 * L * K, 2))
+        x, y = xy.T
+        ok = hexagon_contains(x, y, r) & (np.hypot(x, y) >= config.min_bs_distance_m)
+        draws.append(xy)
+        masks.append(ok)
+        n_ok += np.count_nonzero(ok)
+    # a stable sort of the mask picks the accepted candidates, so that every
+    # temporary's size is fixed by L, K and the batch count: numpy caches
+    # small freed buffers by size, and sizes that change from drop to drop
+    # keep claiming fresh heap pages over a sweep's drops
+    first = np.argsort(~np.concatenate(masks), kind="stable")[:L * K]
+    centers = bs_layout(L, r)
+    pos = np.concatenate(draws)[first].reshape(L, K, 2) + centers[:, None, :]
     beta, rho_d, rho_p = build_beta(config, centers, pos)
     return NetworkScenario(bs_positions=centers, user_positions=pos,
                            beta=beta, rho_d=rho_d, rho_p=rho_p)
@@ -155,22 +158,19 @@ def build_beta(config: ScenarioConfig, bs_positions: np.ndarray,
     """Gain tensor beta[j, k, l] plus (rho_d, rho_p) from the power budget.
 
     d3D folds in the BS/UE height difference; rho_d = (P_bs / K) / N0,
-    rho_p = P_pilot / N0, all linear.
+    rho_p = P_pilot / N0, all linear. The path loss runs per entry with
+    libm's log10 and pow: numpy's SIMD versions differ from them in the last
+    bit on a few percent of inputs, so beta would depend on the host.
     """
-    L, K = config.L, config.K
     dz = config.bs_height_m - config.ue_height_m
-    beta = np.zeros((L, K, L))
-    for j in range(L):
-        d2 = np.hypot(user_positions[:, :, 0] - bs_positions[j, 0],
-                      user_positions[:, :, 1] - bs_positions[j, 1])  # (L, K)
-        d3 = np.hypot(d2, dz)
-        for l in range(L):
-            for k in range(K):
-                pl = path_loss_db(float(d3[l, k]), config.carrier_freq_ghz,
-                                  config.ue_height_m)
-                beta[j, k, l] = 10.0 ** (pl / 10.0)
+    delta = user_positions[None] - bs_positions[:, None, None]  # (j, l, k, 2)
+    d2 = np.hypot(delta[..., 0], delta[..., 1])
+    d3 = np.hypot(d2, dz).transpose(0, 2, 1)                    # (j, k, l)
+    fc, h = config.carrier_freq_ghz, config.ue_height_m
+    beta = np.array([10.0 ** (path_loss_db(d, fc, h) / 10.0)
+                     for d in d3.ravel().tolist()]).reshape(d3.shape)
     noise_w = config.noise_power_w
-    rho_d = (config.bs_total_power_w / K) / noise_w
+    rho_d = (config.bs_total_power_w / config.K) / noise_w
     rho_p = config.ue_pilot_power_w / noise_w
     return beta, rho_d, rho_p
 

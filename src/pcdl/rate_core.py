@@ -120,18 +120,6 @@ def _normalization(scenario: NetworkScenario, stats: EstimationStats,
     return np.array([math.fsum(1.0 / g) for g in gam]) / (K * (M - K))
 
 
-def lambda_mrt(scenario: NetworkScenario, stats: EstimationStats,
-               M: int, j: int) -> float:
-    """MRT power normalization (M/K) * sum_k estimate-variance of own links."""
-    return float(_normalization(scenario, stats, (M,), Precoder.MRT)[0, j])
-
-
-def lambda_zf(scenario: NetworkScenario, stats: EstimationStats,
-              M: int, j: int) -> float:
-    """ZF power normalization; needs M > K (pseudo-inverse excess dimensions)."""
-    return float(_normalization(scenario, stats, (M,), Precoder.ZF)[0, j])
-
-
 def _gains(scenario: NetworkScenario, stats: EstimationStats, m_values,
            precoder: Precoder, i: int):
     """(theta, lam): theta[m, l, j], the gain of cell j at receiver (i, l),

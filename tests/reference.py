@@ -2,6 +2,10 @@
 
 None of this is on a path `sweep`, `verify` or `scenario` runs:
 
+- the scalar scenario: one rejection-sampled point per user and the gain
+  tensor filled one entry at a time (`sample_hexagon_point`,
+  `place_users_loop`, `build_beta_loop`), which `geometry`'s array path
+  must equal bit for bit;
 - the per-cell loop that built the gains theta one M and one cell at a
   time, in the operation order `rate_core.link_budgets` keeps
   (`theta_per_cell`);
@@ -32,13 +36,69 @@ import numpy as np
 
 from pcdl._kernels import COND_LIMIT
 from pcdl.estimation import EstimationStats, crandn, own_links
-from pcdl.geometry import (NetworkScenario, ScenarioConfig, parse_key_values,
+from pcdl.geometry import (SQRT3, NetworkScenario, ScenarioConfig, bs_layout,
+                           hex_apothem, parse_key_values, path_loss_db,
                            scenario_config_from_dict)
 from pcdl.mc_oracle import _chunk_iter
 from pcdl.rate_core import (PowerDecomposition, Precoder, _check_omega,
-                            capacity_bits, effective_gain, lambda_mrt,
-                            lambda_zf, link_budget)
+                            _normalization, capacity_bits, effective_gain,
+                            link_budget)
 from pcdl.schemes import PdSplit
+
+
+# --- the scenario one user and one gain at a time --------------------------
+
+def sample_hexagon_point(rng: np.random.Generator, radius: float, min_dist: float):
+    """Uniform point in the hexagon, at least min_dist from the center.
+
+    Rejection from the bounding box, x then y per candidate; terminates since
+    min_dist < radius.
+    """
+    a = hex_apothem(radius)
+    while True:
+        x = rng.uniform(-a, a)
+        y = rng.uniform(-radius, radius)
+        if (abs(x) <= a
+                and abs(0.5 * x + 0.5 * SQRT3 * y) <= a
+                and abs(0.5 * x - 0.5 * SQRT3 * y) <= a
+                and math.hypot(x, y) >= min_dist):
+            return x, y
+
+
+def place_users_loop(config: ScenarioConfig, rng: np.random.Generator) -> NetworkScenario:
+    """One scalar rejection loop per user, cell 0's users first."""
+    L, K = config.L, config.K
+    centers = bs_layout(L, config.cell_radius_m)
+    pos = np.zeros((L, K, 2))
+    for l in range(L):
+        for k in range(K):
+            x, y = sample_hexagon_point(rng, config.cell_radius_m, config.min_bs_distance_m)
+            pos[l, k, 0] = centers[l, 0] + x
+            pos[l, k, 1] = centers[l, 1] + y
+    beta, rho_d, rho_p = build_beta_loop(config, centers, pos)
+    return NetworkScenario(bs_positions=centers, user_positions=pos,
+                           beta=beta, rho_d=rho_d, rho_p=rho_p)
+
+
+def build_beta_loop(config: ScenarioConfig, bs_positions: np.ndarray,
+                    user_positions: np.ndarray):
+    """beta[j, k, l] one BS's distances at a time and one entry at a time."""
+    L, K = config.L, config.K
+    dz = config.bs_height_m - config.ue_height_m
+    beta = np.zeros((L, K, L))
+    for j in range(L):
+        d2 = np.hypot(user_positions[:, :, 0] - bs_positions[j, 0],
+                      user_positions[:, :, 1] - bs_positions[j, 1])  # (L, K)
+        d3 = np.hypot(d2, dz)
+        for l in range(L):
+            for k in range(K):
+                pl = path_loss_db(float(d3[l, k]), config.carrier_freq_ghz,
+                                  config.ue_height_m)
+                beta[j, k, l] = 10.0 ** (pl / 10.0)
+    noise_w = config.noise_power_w
+    rho_d = (config.bs_total_power_w / K) / noise_w
+    rho_p = config.ue_pilot_power_w / noise_w
+    return beta, rho_d, rho_p
 
 
 # --- the gains one cell at a time -----------------------------------------
@@ -106,12 +166,12 @@ def power_decomposition_mrt(scenario: NetworkScenario, stats: EstimationStats,
     srp = math.sqrt(rho_p)
     gam = stats.gamma()
 
+    lam = _normalization(scenario, stats, (M,), Precoder.MRT)[0]
     p1_terms = []
     p2_terms = []
     p3_terms = []
     for j in range(L):
-        lam = lambda_mrt(scenario, stats, M, j)
-        scale = rho_d / lam
+        scale = rho_d / lam[j]
         if j in omega:
             p1_terms.append(M * M * scale * rho_p * beta[j, i, l] ** 2 * alpha[j, i, j] ** 2)
         p2_terms.append(M * scale * rho_p * beta[j, i, l] ** 2 * alpha[j, i, j] ** 2)
@@ -134,11 +194,11 @@ def power_decomposition_zf(scenario: NetworkScenario, stats: EstimationStats,
     srp = math.sqrt(scenario.rho_p)
     gam = stats.gamma()
 
+    lam = _normalization(scenario, stats, (M,), Precoder.ZF)[0]
     p1_terms = []
     p2_terms = []
     for j in range(L):
-        lam = lambda_zf(scenario, stats, M, j)
-        scale = scenario.rho_d / lam
+        scale = scenario.rho_d / lam[j]
         if j in omega:
             p1_terms.append(scale * (beta[j, i, l] / beta[j, i, j]) ** 2)
         err = beta[j, i, l] * (1.0 - srp * alpha[j, i, l])
@@ -186,10 +246,10 @@ def p2_mrt_compact(scenario: NetworkScenario, stats: EstimationStats,
     i, l = receiver
     beta = scenario.beta
     gam = stats.gamma()
+    lam = _normalization(scenario, stats, (M,), Precoder.MRT)[0]
     terms = []
     for j in range(scenario.n_cells):
-        lam = lambda_mrt(scenario, stats, M, j)
-        terms.append(M * (scenario.rho_d / lam) * gam[j, i] * beta[j, i, l])
+        terms.append(M * (scenario.rho_d / lam[j]) * gam[j, i] * beta[j, i, l])
     return math.fsum(terms)
 
 

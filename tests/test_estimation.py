@@ -8,18 +8,26 @@ from conftest import toy_scenario
 from reference import sample_channels
 
 
+def own_error_variance(scenario, stats):
+    """Per-antenna own-link error variance beta_jkj (1 - sqrt(rho_p) alpha_jkj)."""
+    srp = math.sqrt(scenario.rho_p)
+    return own_links(scenario.beta) * (1.0 - srp * own_links(stats.alpha))
+
+
 def test_alpha_single_cell_hand_value():
-    stats = compute_alpha(toy_scenario(np.ones((1, 1, 1)), rho_p=1.0))
+    scenario = toy_scenario(np.ones((1, 1, 1)), rho_p=1.0)
+    stats = compute_alpha(scenario)
     assert stats.alpha[0, 0, 0] == pytest.approx(0.5, rel=1e-15)
     assert stats.est_var[0, 0, 0] == pytest.approx(0.5, rel=1e-15)
-    assert stats.err_var[0, 0] == pytest.approx(0.5, rel=1e-15)
+    assert own_error_variance(scenario, stats)[0, 0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_alpha_vanishing_pilot_energy():
     beta = np.full((2, 3, 2), 2.0)
-    stats = compute_alpha(toy_scenario(beta, rho_p=1e-18))
+    scenario = toy_scenario(beta, rho_p=1e-18)
+    stats = compute_alpha(scenario)
     assert np.all(stats.alpha < 1e-8)
-    assert np.allclose(stats.err_var, own_links(beta), rtol=1e-8)
+    assert np.allclose(own_error_variance(scenario, stats), own_links(beta), rtol=1e-8)
 
 
 def test_alpha_equal_gain_links():
@@ -38,7 +46,7 @@ def test_alpha_invariants(paper_drop):
     assert np.all(srp * own_alpha > 0)
     assert np.all(srp * own_alpha < 1)
     # MMSE variance split on the own link
-    split = own_links(stats.est_var) + stats.err_var
+    split = own_links(stats.est_var) + own_error_variance(scenario, stats)
     assert np.allclose(split, own_links(scenario.beta), rtol=1e-12)
     # the denominator is shared across cells of one pilot
     ratio_alpha = stats.alpha[:, :, 0] / stats.alpha[:, :, 1]

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from pcdl.geometry import (SQRT3, ScenarioConfig, bs_layout, build_beta,
-                           build_scenario, hex_apothem, hexagon_contains,
-                           parse_key_values, path_loss_db, place_users,
-                           scenario_config_from_dict, scenario_to_csv,
-                           _sample_hexagon_point)
-from reference import load_scenario_config
+                           build_scenario, drop_seed_sequence, hex_apothem,
+                           hexagon_contains, parse_key_values, path_loss_db,
+                           place_users, scenario_config_from_dict,
+                           scenario_to_csv)
+from reference import load_scenario_config, place_users_loop
 
 
 def test_path_loss_reference_value():
@@ -92,19 +92,33 @@ def test_hexagon_membership_halfplanes():
 
 
 class _QueuedRng:
-    """Feeds a fixed list of (x, y) proposals to the rejection sampler."""
+    """Feeds queued batches of (x, y) candidates to `place_users`."""
 
-    def __init__(self, points):
-        self._vals = [c for p in points for c in p]
+    def __init__(self, *batches):
+        self._batches = [np.array(b, dtype=float) for b in batches]
 
-    def uniform(self, lo, hi):
-        return self._vals.pop(0)
+    def uniform(self, low, high, size):
+        return self._batches.pop(0)
 
 
 def test_min_distance_candidate_redrawn():
+    cfg = ScenarioConfig(L=1, K=1, cell_radius_m=400.0, min_bs_distance_m=35.0)
     rng = _QueuedRng([(6.0, 8.0), (100.0, 50.0)])  # first point is 10 m out
-    x, y = _sample_hexagon_point(rng, 400.0, 35.0)
+    x, y = place_users(cfg, rng).user_positions[0, 0]
     assert (x, y) == (100.0, 50.0)
+
+
+@pytest.mark.parametrize("kwargs", [{}, dict(L=3, K=4, seed=7),
+                                    dict(L=1, K=40, min_bs_distance_m=300.0)],
+                         ids=["default", "L3-K4-seed7", "L1-K40-floor300"])
+def test_array_scenario_equals_scalar_loops(kwargs):
+    # the last config rejects three candidates in four, so batches run short
+    cfg = ScenarioConfig(**kwargs)
+    for drop in range(300):
+        got = build_scenario(cfg, drop)
+        want = place_users_loop(cfg, np.random.default_rng(drop_seed_sequence(cfg.seed, drop)))
+        assert np.array_equal(got.user_positions, want.user_positions), drop
+        assert np.array_equal(got.beta, want.beta), drop
 
 
 def test_determinism_bit_identical(paper_config):

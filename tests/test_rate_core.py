@@ -6,9 +6,9 @@ import pytest
 from pcdl.estimation import compute_alpha
 from pcdl.geometry import build_scenario
 from pcdl.harness import DEFAULT_M_VALUES
-from pcdl.rate_core import (Precoder, capacity_bits, decode_sets,
-                            effective_gain, lambda_mrt, lambda_zf,
-                            link_budget, link_budgets, power_decomposition)
+from pcdl.rate_core import (Precoder, _normalization, capacity_bits,
+                            decode_sets, effective_gain, link_budget,
+                            link_budgets, power_decomposition)
 from conftest import toy_scenario
 from reference import (PowerTerms, c_lb, p2_mrt_compact,
                        power_decomposition_mrt, power_decomposition_zf,
@@ -20,34 +20,39 @@ def unit_scenario(rho_p=1.0, rho_d=1.0):
     return toy_scenario(np.ones((1, 1, 1)), rho_d=rho_d, rho_p=rho_p)
 
 
+def lam(scenario, stats, M, precoder, j):
+    """Cell j's precoder normalization lambda_j at one M."""
+    return _normalization(scenario, stats, (M,), precoder)[0, j]
+
+
 def test_lambda_mrt_hand_value():
     # gamma = sqrt(rho_p)*beta*alpha = 2 requires a scaled toy link
     scenario = toy_scenario(np.ones((1, 1, 1)) * 4.0, rho_p=1.0)
     stats = compute_alpha(scenario)
     gamma = stats.gamma()[0, 0]
     expect = 100 * gamma
-    assert lambda_mrt(scenario, stats, 100, 0) == pytest.approx(expect, rel=1e-15)
+    assert lam(scenario, stats, 100, Precoder.MRT, 0) == pytest.approx(expect, rel=1e-15)
 
 
 def test_lambda_mrt_linear_in_m(paper_drop):
     scenario, stats = paper_drop
     for j in range(2):
-        l1 = lambda_mrt(scenario, stats, 64, j)
-        l2 = lambda_mrt(scenario, stats, 128, j)
+        l1 = lam(scenario, stats, 64, Precoder.MRT, j)
+        l2 = lam(scenario, stats, 128, Precoder.MRT, j)
         assert l2 == pytest.approx(2 * l1, rel=1e-15)
 
 
 def test_lambda_zf_hand_value():
     scenario = unit_scenario()
     stats = compute_alpha(scenario)  # gamma = 0.5
-    assert lambda_zf(scenario, stats, 2, 0) == pytest.approx(2.0, rel=1e-15)
+    assert lam(scenario, stats, 2, Precoder.ZF, 0) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_lambda_zf_inverse_m_decay(paper_drop):
     scenario, stats = paper_drop
     K = scenario.users_per_cell
-    v1 = lambda_zf(scenario, stats, 2 ** 10, 0) * (2 ** 10 - K)
-    v2 = lambda_zf(scenario, stats, 2 ** 14, 0) * (2 ** 14 - K)
+    v1 = lam(scenario, stats, 2 ** 10, Precoder.ZF, 0) * (2 ** 10 - K)
+    v2 = lam(scenario, stats, 2 ** 14, Precoder.ZF, 0) * (2 ** 14 - K)
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -55,7 +60,7 @@ def test_lambda_zf_rejects_m_le_k(paper_drop):
     scenario, stats = paper_drop
     K = scenario.users_per_cell
     with pytest.raises(ValueError, match="ZF requires M > K"):
-        lambda_zf(scenario, stats, K, 0)
+        lam(scenario, stats, K, Precoder.ZF, 0)
 
 
 def test_effective_gain_zf_own_link(paper_drop):
@@ -63,7 +68,7 @@ def test_effective_gain_zf_own_link(paper_drop):
     scenario, stats = paper_drop
     for l in range(2):
         eff = effective_gain(scenario, stats, 256, Precoder.ZF, (0, l))
-        expect = math.sqrt(scenario.rho_d / lambda_zf(scenario, stats, 256, l))
+        expect = math.sqrt(scenario.rho_d / lam(scenario, stats, 256, Precoder.ZF, l))
         assert eff.theta[l] == pytest.approx(expect, rel=1e-15)
 
 
