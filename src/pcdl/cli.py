@@ -51,11 +51,11 @@ def _fail(msg: str) -> NoReturn:
 
 def _load_config(path: str) -> SweepConfig:
     """The config file at `path`; exit with status 2 and a one-line message
-    if it cannot be read or the config classes reject it."""
+    if the config classes reject it (`main` reports a file it cannot open)."""
     try:
         return load_sweep_config(path)
-    except (OSError, ValueError) as exc:
-        msg = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+    except ValueError as exc:
+        msg = str(exc)
         _fail(msg if msg.startswith(f"{path}:") else f"{path}: {msg}")
 
 
@@ -90,7 +90,7 @@ def _cmd_sweep(args) -> int:
         cfg = with_seed(cfg, args.seed)
     out = args.out or "sweep.csv"
     t0 = time.perf_counter()
-    result = run_sweep(cfg, threads=args.threads)
+    result = run_sweep(cfg)
     write_sweep_csv(result, out)
     print(f"wrote {out} ({len(result.rows)} rows, "
           f"{cfg.scenario.n_drops} drops, {time.perf_counter() - t0:.1f}s)")
@@ -146,8 +146,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="run the antenna-count sweep")
     _add_common(p)
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="drop-level workers")
     p.add_argument("--plot-script", action="store_true",
                    help="also emit a standalone matplotlib script")
     p.set_defaults(func=_cmd_sweep)
@@ -167,7 +165,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_scenario)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a config file or an output the run cannot open
+        _fail(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
 
 
 if __name__ == "__main__":

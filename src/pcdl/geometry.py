@@ -32,10 +32,9 @@ class ScenarioConfig:
     bs_height_m: float = 25.0
     ue_height_m: float = 1.5
     carrier_freq_ghz: float = 3.5
-    bandwidth_hz: float = 20e6
     bs_total_power_w: float = 40.0
     ue_pilot_power_w: float = 0.2    # not pinned by the experiment description; 23 dBm default
-    noise_power_dbm: float = -101.0
+    noise_power_dbm: float = -101.0  # over the whole band: thermal noise of 20 MHz
     n_drops: int = 150
     seed: int = 1
 
@@ -55,7 +54,7 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("cell_radius_m", "bs_height_m", "carrier_freq_ghz",
-                     "bandwidth_hz", "bs_total_power_w", "ue_pilot_power_w"):
+                     "bs_total_power_w", "ue_pilot_power_w"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

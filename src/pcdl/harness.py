@@ -5,8 +5,7 @@ SeedSequence(entropy=(master_seed, d)), evaluates every requested
 (M, precoder, scheme) combination with the closed forms, one link budget per
 precoder over all M, and its rates go into one column of a (key, drop)
 table. The harness aggregates means and sample standard deviations across
-drops from that table's rows, in drop order, so results do not depend on how
-the drops were scheduled.
+drops from that table's rows, in drop order.
 """
 
 from __future__ import annotations
@@ -52,6 +51,11 @@ class SweepConfig:
             if s in ("SND", "PD") and L != 2:
                 raise ValueError(f"scheme {s} covers L = 2 cells only, got L = {L}")
         parsed = [Precoder.parse(p) for p in self.precoders]
+        for name, items in (("schemes", self.schemes), ("precoders", parsed)):
+            if len(set(items)) < len(items):
+                raise ValueError(f"{name} must not repeat")
+        if self.m_values[0] < 1:
+            raise ValueError(f"every M must be >= 1, got {self.m_values[0]}")
         if Precoder.ZF in parsed and self.m_values[0] <= self.scenario.K:
             raise ValueError("ZF sweeps need every M > K")
         if not 1 <= self.pilot_index <= self.scenario.K:
@@ -112,7 +116,7 @@ def _evaluate_drop(config: SweepConfig, drop: int) -> np.ndarray:
     return out
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
+def run_sweep(config: SweepConfig) -> SweepResult:
     n = config.scenario.n_drops
     n_p, n_s, n_m = len(config.precoders), len(config.schemes), len(config.m_values)
     # the rates, a (precoder, scheme, M, drop) table: each row holds one value
@@ -120,18 +124,9 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     # PD's splits go to a table of their own that only their means outlive.
     rates = np.empty((n_p, n_s, n_m, n))
     splits = np.empty((n_p, len(_columns(config.schemes)) - n_s, n_m, n))
-
-    def fill(drops):
-        for d, values in enumerate(drops):
-            rates[..., d], splits[..., d] = values[:, :n_s], values[:, n_s:]
-
-    if threads > 1:
-        # imported here: it costs every start-up of pcdl about 2 MB and 20 ms
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            fill(pool.map(_evaluate_drop, [config] * n, range(n), chunksize=4))
-    else:
-        fill(_evaluate_drop(config, d) for d in range(n))
+    for d in range(n):
+        values = _evaluate_drop(config, d)
+        rates[..., d], splits[..., d] = values[:, :n_s], values[:, n_s:]
     rates.flags.writeable = False
 
     rows = []

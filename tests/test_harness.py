@@ -1,7 +1,4 @@
 import hashlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +16,8 @@ from pcdl.harness import (DEFAULT_M_VALUES, SweepConfig, _columns, _evaluate_dro
 from pcdl.mc_oracle import verification_rows, write_report_csv
 from pcdl.rate_core import Precoder
 from pcdl.schemes import sym_rate_pd, sym_rate_sd, sym_rate_snd, sym_rate_tin
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference_sweep.cfg"
 
 
 def small_sweep_config(**kw):
@@ -77,22 +76,6 @@ def test_sweep_reproducible_csv(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_sweep_threads_match_serial(small_result):
-    threaded = run_sweep(small_sweep_config(), threads=2)
-    assert threaded.rows == small_result.rows
-
-
-def test_sweep_threads_give_the_same_table_and_csv(tmp_path, small_result):
-    threaded = run_sweep(small_sweep_config(), threads=2)
-    assert threaded.per_drop.keys() == small_result.per_drop.keys()
-    for key, serial in small_result.per_drop.items():
-        np.testing.assert_array_equal(threaded.per_drop[key], serial)
-    paths = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    write_sweep_csv(small_result, str(paths[0]))
-    write_sweep_csv(threaded, str(paths[1]))
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
 def test_per_drop_rows_are_read_only(small_result):
     for row in small_result.per_drop.values():
         assert row.shape == (3,) and not row.flags.writeable
@@ -147,6 +130,11 @@ def test_sweep_config_file(tmp_path):
     assert cfg.precoders == ("ZF",)
     assert cfg.pilot_index == 2 and cfg.mu_grid == 7
     assert cfg.scenario.K == 4
+
+
+def test_reference_config_is_the_default():
+    # the acceptance tests run the defaults; the CSV pin and the benchmark run the file
+    assert load_sweep_config(str(REFERENCE_CONFIG)) == SweepConfig()
 
 
 def test_sweep_config_unknown_key():
@@ -307,12 +295,9 @@ def test_evaluate_drop_reads_each_budget_once(monkeypatch, paper_config):
 REFERENCE_SWEEP_SHA256 = "e0f954993fd40189f725290117fa888b4a8cff825254cfcb65e4e2a4b0bb9a38"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_reference_sweep_csv_is_pinned(tmp_path, threads):
-    cfg = Path(__file__).resolve().parent.parent / "configs" / "reference_sweep.cfg"
+def test_reference_sweep_csv_is_pinned(tmp_path):
     out = tmp_path / "reference.csv"
-    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out),
-                     "--threads", threads]) == 0
+    assert cli_main(["sweep", "--config", str(REFERENCE_CONFIG), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_SWEEP_SHA256
 
 
@@ -330,8 +315,8 @@ def test_cli_seed_override(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--combos", "0"], "argument --combos: must be >= 1, got 0"),
     (["verify", "--trials", "10"], "argument --trials: must be >= 1000, got 10"),
-    (["sweep", "--threads", "0"], "argument --threads: must be >= 1, got 0"),
-    (["sweep", "--threads", "-3"], "argument --threads: must be >= 1, got -3"),
+    (["scenario", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["verify", "--trials", "999"], "argument --trials: must be >= 1000, got 999"),
     (["sweep", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
     (["verify", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
     (["scenario", "--drop", "-1"], "argument --drop: must be >= 0, got -1"),
@@ -355,6 +340,12 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, argv, message):
      "{path}: scheme SND covers L = 2 cells only, got L = 3"),
     ("L = 1\nK = 4\nn_drops = 2\nschemes = TIN, SD\n",
      "{path}: scheme SD needs L >= 2 cells, got L = 1"),
+    ("n_drops = 2\nprecoders = MRT\nm_values = 0, 16\n",
+     "{path}: every M must be >= 1, got 0"),
+    ("n_drops = 2\nprecoders = MRT\nm_values = -4, 16\n",
+     "{path}: every M must be >= 1, got -4"),
+    ("n_drops = 2\nschemes = TIN, tin\n", "{path}: schemes must not repeat"),
+    ("n_drops = 2\nprecoders = MRT, mrt\n", "{path}: precoders must not repeat"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "verify", "scenario"])
 def test_cli_rejects_bad_config_file(tmp_path, capsys, lines, message, command):
@@ -369,14 +360,26 @@ def test_cli_rejects_bad_config_file(tmp_path, capsys, lines, message, command):
     assert not out.exists()
 
 
-def test_cli_import_leaves_process_pool_out():
-    # only run_sweep(threads > 1) needs it; every start-up would pay for it
-    src = os.path.dirname(os.path.dirname(pcdl.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, pcdl.cli; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "small.cfg"],
+    ["verify", "--config", "small.cfg", "--combos", "1", "--trials", "1000"],
+    ["scenario"],
+], ids=["sweep", "verify", "scenario"])
+@pytest.mark.parametrize("option, path, reason", [
+    ("--config", "missing.cfg", "No such file or directory"),
+    ("--out", "missing/out.csv", "No such file or directory"),
+    ("--out", ".", "Is a directory"),
+])
+def test_cli_rejects_paths_it_cannot_open(tmp_path, monkeypatch, capsys, argv,
+                                          option, path, reason):
+    # an unwritable --out fails once the work is done, before anything is printed
+    monkeypatch.chdir(tmp_path)
+    Path("small.cfg").write_text("K = 4\nn_drops = 2\nm_values = 16\nmu_grid = 5\n",
+                                 encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + [option, path])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"pcdl: error: {path}: {reason}\n")
 
 
 @pytest.mark.parametrize("m, message", [

@@ -65,7 +65,7 @@ def scenario_configs(draw):
         min_bs_distance_m=draw(st.floats(0.0, radius, exclude_min=True,
                                          exclude_max=True)),
         bs_height_m=draw(positive), ue_height_m=draw(finite),
-        carrier_freq_ghz=draw(positive), bandwidth_hz=draw(positive),
+        carrier_freq_ghz=draw(positive),
         bs_total_power_w=draw(positive), ue_pilot_power_w=draw(positive),
         noise_power_dbm=draw(finite), n_drops=draw(st.integers(1, 10 ** 9)),
         seed=draw(st.integers(0, 2 ** 128)))
