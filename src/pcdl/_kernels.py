@@ -30,9 +30,11 @@ import numpy as np
 
 COND_LIMIT = 1e12
 
-# Largest per-chunk complex temporary, in entries: 64 KiB, half of glibc's
-# default mmap threshold, so chunk buffers come from the heap and are not
-# mapped and page-faulted in afresh on every chunk.
+# Largest per-chunk complex temporary, in entries (64 KiB). The chunk size
+# orders the random draws, so another value changes every oracle output.
+# On the oracle benchmarks (2 CPUs), 32x larger chunks ran no faster and
+# raised peak RSS from 38.9 to 50.5 MB, and the first job's page faults
+# from 9-10 to 13 700 (oracle-verify) and from 5-6 to 6 850 (oracle-large-m).
 _CHUNK_ENTRIES = 4096
 
 

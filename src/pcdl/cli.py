@@ -11,8 +11,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from dataclasses import replace
 from typing import NoReturn
 
 import numpy as np
@@ -80,7 +82,7 @@ def _scenario_config(args) -> ScenarioConfig:
     # sweep config files (with m_values etc.) are accepted here too
     cfg = _load_config(args.config).scenario if args.config else ScenarioConfig()
     if args.seed is not None:
-        cfg = ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -95,7 +97,7 @@ def _cmd_sweep(args) -> int:
     print(f"wrote {out} ({len(result.rows)} rows, "
           f"{cfg.scenario.n_drops} drops, {time.perf_counter() - t0:.1f}s)")
     if args.plot_script:
-        script = out.rsplit(".", 1)[0] + "_plot.py"
+        script = os.path.splitext(out)[0] + "_plot.py"
         emit_plot_script(out, script)
         print(f"wrote {script}")
     return 0

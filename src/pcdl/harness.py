@@ -11,6 +11,7 @@ drops from that table's rows, in drop order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -235,6 +236,6 @@ print("wrote", {png!r})
 
 
 def emit_plot_script(csv_path: str, script_path: str) -> None:
-    png = csv_path.rsplit(".", 1)[0] + ".png"
+    png = os.path.splitext(csv_path)[0] + ".png"
     with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(PLOT_TEMPLATE.format(csv=csv_path, png=png))

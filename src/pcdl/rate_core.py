@@ -71,9 +71,8 @@ class Precoder(enum.Enum):
 class EffectiveChannel:
     """Mean effective gains seen by one receiver, one entry per cell."""
 
-    receiver: tuple[int, int]  # (pilot index i, cell l), 0-based
-    theta: np.ndarray          # (L,) real gains
-    lam: np.ndarray            # (L,) precoder normalization factors
+    theta: np.ndarray  # (L,) real gains
+    lam: np.ndarray    # (L,) precoder normalization factors
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ class PowerDecomposition:
 
     p1: float
     noise: float
-    omega: frozenset[int]
 
 
 def capacity_bits(snr):
@@ -167,7 +165,7 @@ def effective_gain(scenario: NetworkScenario, stats: EstimationStats, M: int,
     """Per-cell mean effective gains theta_j at receiver (i, l), at one M."""
     i, l = _check_receiver(scenario, receiver)
     theta, lam = _gains(scenario, stats, (M,), precoder, i)
-    return EffectiveChannel(receiver=(i, l), theta=theta[0, l], lam=lam[0])
+    return EffectiveChannel(theta=theta[0, l], lam=lam[0])
 
 
 def link_budget(scenario: NetworkScenario, stats: EstimationStats, M: int,
@@ -186,7 +184,7 @@ def power_decomposition(scenario: NetworkScenario, stats: EstimationStats,
     _check_omega(omega, scenario.n_cells)
     theta, noise = link_budget(scenario, stats, M, precoder, receiver)
     return PowerDecomposition(p1=math.fsum(float(theta[j]) ** 2 for j in omega),
-                              noise=noise, omega=omega)
+                              noise=noise)
 
 
 def decode_sets(L: int) -> list[tuple[int, ...]]:

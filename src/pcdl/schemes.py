@@ -35,6 +35,7 @@ the formula, not rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -154,33 +155,27 @@ def rate_snd(b: Budgets) -> np.ndarray:
     return np.minimum(*rates)
 
 
-_PD_MESHES = {}  # grid size -> (mu, m1, m2); a sweep uses one size
-_PD_ORDERS = {}  # grid size -> flat grid indices in tie-break order
-
-
+@functools.lru_cache(maxsize=None)
 def _pd_mesh(grid: int):
     """(mu, m1, m2): the uniform split grid over [0, 1] with both endpoints
     and its sparse (mu1, mu2) mesh, mu1 as a (grid, 1) column and mu2 as a
     (1, grid) row. Every PD evaluation of this grid size shares them, so
     they are read-only."""
-    if grid not in _PD_MESHES:
-        mu = np.linspace(0.0, 1.0, grid)
-        mu.flags.writeable = False
-        _PD_MESHES[grid] = mu, mu[:, None], mu[None, :]
-    return _PD_MESHES[grid]
+    mu = np.linspace(0.0, 1.0, grid)
+    mu.flags.writeable = False
+    return mu, mu[:, None], mu[None, :]
 
 
+@functools.lru_cache(maxsize=None)
 def _pd_tie_order(grid: int) -> np.ndarray:
     """Flat indices i1 * grid + i2 of the (mu1, mu2) grid, sorted by
     (mu1 + mu2, mu1): the first one that reaches the maximum is the split
     `rate_pd` returns. Shared per grid size, so read-only."""
-    if grid not in _PD_ORDERS:
-        mu = _pd_mesh(grid)[0]
-        i1, i2 = np.divmod(np.arange(grid * grid), grid)
-        order = np.lexsort((i2, i1, mu[i1], mu[i1] + mu[i2]))
-        order.flags.writeable = False
-        _PD_ORDERS[grid] = order
-    return _PD_ORDERS[grid]
+    mu = _pd_mesh(grid)[0]
+    i1, i2 = np.divmod(np.arange(grid * grid), grid)
+    order = np.lexsort((i2, i1, mu[i1], mu[i1] + mu[i2]))
+    order.flags.writeable = False
+    return order
 
 
 def _pd_symmetric_grid(s1, n1, s2, n2, grid: int):

@@ -480,11 +480,11 @@ def hardening_check(scenario: NetworkScenario, stats: EstimationStats,
         raise ValueError("m_values must be strictly increasing")
     out = []
     for M in m_values:
-        theta = effective_gain(scenario, stats, M, Precoder.MRT, receiver).theta
-        coeff = theta / math.sqrt(M)
+        eff = effective_gain(scenario, stats, M, Precoder.MRT, receiver)
+        coeff = eff.theta / math.sqrt(M)
         parts = []
         for _, _, y, _, s_i in _chunk_iter(scenario, stats, M, Precoder.MRT,
-                                           receiver, trials, rng):
+                                           receiver, eff, trials, rng):
             limit = s_i @ coeff
             dev = np.abs(y / math.sqrt(M) - limit) / np.abs(limit)
             parts.append(dev.sum())

@@ -190,6 +190,21 @@ def test_cli_scenario_and_sweep(tmp_path):
     assert (tmp_path / "sweep_plot.py").exists()
 
 
+def test_cli_plot_script_stays_next_to_the_csv(tmp_path, monkeypatch):
+    # a dot in a directory name is not the output's suffix
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K = 4\nn_drops = 1\nm_values = 16\nmu_grid = 5\n", encoding="utf-8")
+    run_dir = tmp_path / "run.v2"
+    run_dir.mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["sweep", "--config", str(cfg), "--out", "run.v2/sweep",
+                     "--plot-script"]) == 0
+    script = run_dir / "sweep_plot.py"
+    assert script.exists()
+    assert not (tmp_path / "run_plot.py").exists()
+    assert repr(str(Path("run.v2") / "sweep.png")) in script.read_text(encoding="utf-8")
+
+
 def test_cli_verify(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("K = 4\nn_drops = 2\nseed = 5\n", encoding="utf-8")

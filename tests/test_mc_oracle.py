@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pcdl import _kernels
+from pcdl import _kernels, mc_oracle
 from pcdl.estimation import crandn, own_links
 from pcdl.mc_oracle import (N_BATCHES, _batch_bounds, _batch_sums, _chunk_iter,
                             _gram_law, empirical_moments, verification_rows,
@@ -84,6 +84,21 @@ def test_moments_deterministic_given_seed(small_drop):
     assert np.array_equal(a.power, b.power)
 
 
+def test_moments_build_the_effective_channel_once(small_drop, monkeypatch):
+    scenario, stats = small_drop
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return effective_gain(*args)
+
+    monkeypatch.setattr(mc_oracle, "effective_gain", counted)
+    for prec in (Precoder.MRT, Precoder.ZF):
+        calls.clear()
+        empirical_moments(scenario, stats, 8, prec, (0, 1), 1000, np.random.default_rng(6))
+        assert len(calls) == 1
+
+
 def test_moments_single_cell_single_user():
     # L = 1 and K = 1 exercise the kernels' degenerate shapes
     from conftest import toy_scenario
@@ -103,8 +118,9 @@ def test_chunk_rule_shape_only(small_drop):
     L, K = scenario.n_cells, scenario.users_per_cell
 
     def sizes(M):
+        eff = effective_gain(scenario, stats, M, Precoder.MRT, (0, 0))
         return [y.shape[0] for _, _, y, _, _ in _chunk_iter(
-            scenario, stats, M, Precoder.MRT, (0, 0), 1000, np.random.default_rng(0))]
+            scenario, stats, M, Precoder.MRT, (0, 0), eff, 1000, np.random.default_rng(0))]
 
     assert sizes(16) == sizes(10**6)
     assert sizes(16)[0] == _kernels.chunk_trials(L, K)
@@ -230,14 +246,14 @@ def test_batch_sums_match_per_batch_loop(small_drop, trials):
     L = scenario.n_cells
     bounds = _batch_bounds(trials)
     assert any(b % _kernels.chunk_trials(L, scenario.users_per_cell) for b in bounds)
-    theta = effective_gain(scenario, stats, 16, Precoder.ZF, (0, 1)).theta
+    eff = effective_gain(scenario, stats, 16, Precoder.ZF, (0, 1))
 
     def chunks():
-        return _chunk_iter(scenario, stats, 16, Precoder.ZF, (0, 1), trials,
+        return _chunk_iter(scenario, stats, 16, Precoder.ZF, (0, 1), eff, trials,
                            np.random.default_rng(trials))
 
-    got = _batch_sums(chunks(), theta, bounds)
-    want = _per_batch_loop(chunks(), theta, bounds, L)
+    got = _batch_sums(chunks(), eff.theta, bounds)
+    want = _per_batch_loop(chunks(), eff.theta, bounds, L)
     assert got.shape == (N_BATCHES, 2 * L + 1)
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 

@@ -2,18 +2,35 @@
 wraps each `LAYERS` entry with `getattr`, and `run.py` and `checks.py`
 import pcdl names. No other test imports those files, so these tests check
 that every name they read still resolves. The files are loaded as they are:
-spans.py is executed, run.py and checks.py (which act when imported) are
-only parsed."""
+spans.py is executed, run.py (which acts when imported) is only parsed.
+checks.py is also executed, and its output checks run on small sweeps and
+oracle combos, so an output the benchmark would call incorrect fails here."""
 
 import ast
 import importlib
 import importlib.util
 import types
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pcdl.estimation import compute_alpha
+from pcdl.geometry import build_scenario
+from pcdl.harness import load_sweep_config, run_sweep, write_sweep_csv
+from pcdl.mc_oracle import verification_rows
+from pcdl.rate_core import Precoder
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE_CONFIG = PERFBENCH.parent / "configs" / "reference_sweep.cfg"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _resolve(module: str, name: str):
@@ -46,9 +63,7 @@ def _pcdl_reads(path: Path) -> list[tuple[str, str]]:
 
 
 def test_span_layers_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("spans")
     missing = [f"pcdl.{mod}.{fn}" for mod, fn, _ in spans.LAYERS
                if not callable(_resolve(f"pcdl.{mod}", fn))]
     assert not missing, f"perfbench/spans.py LAYERS name missing functions: {missing}"
@@ -60,3 +75,25 @@ def test_perfbench_pcdl_names_resolve(script):
     assert reads, f"perfbench/{script} reads no pcdl name"
     missing = [f"{mod}.{name}" for mod, name in reads if _resolve(mod, name) is None]
     assert not missing, f"perfbench/{script} reads missing pcdl names: {missing}"
+
+
+def test_benchmark_checks_pass_on_a_small_reference_sweep(tmp_path):
+    config = load_sweep_config(str(REFERENCE_CONFIG))
+    config = replace(config, scenario=replace(config.scenario, n_drops=2),
+                     m_values=(32, 1024, 10**6))
+    result = run_sweep(config)
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(result, str(out))
+    assert _load("checks").check_sweep(config, out.read_bytes(), result) == []
+
+
+def test_benchmark_checks_pass_on_oracle_combos():
+    scen = load_sweep_config(str(REFERENCE_CONFIG)).scenario
+    combos = [("MRT", 64, (0, 0), (0,)), ("ZF", 64, (0, 1), (0, 1))]
+    rows = []
+    for c, (prec, M, receiver, omega) in enumerate(combos):
+        scenario = build_scenario(scen, 0)
+        rows.append(verification_rows(scenario, compute_alpha(scenario), M,
+                                      Precoder.parse(prec), receiver, omega, 1000,
+                                      np.random.default_rng(c)))
+    assert _load("checks").check_oracle(scen, 0, combos, rows) == []
