@@ -1,5 +1,5 @@
-"""MMSE channel estimation statistics under pilot re-use, plus the Gram-matrix
-sampler of the Monte Carlo oracle.
+"""MMSE channel estimation statistics under pilot re-use, plus the sampler of
+the Monte Carlo oracle (scaled Bartlett factors of Wishart Gram matrices).
 
 Every cell re-uses the same K orthogonal pilots, so BS j's estimate of its
 user k is contaminated by the pilot-k users of all other cells:
@@ -42,16 +42,16 @@ def _bartlett_indices(r: int, n: int):
 
 def sample_gram(rng: np.random.Generator, var: np.ndarray, M: int,
                 trials: int) -> np.ndarray:
-    """Gram matrices of independent CN(0, var_a * I_M) vectors, without the vectors.
+    """Gram matrices of independent CN(0, var_a * I_M) vectors, as factors.
 
-    For n columns x_a with variances var[..., a], returns W[t, ..., a, b] =
-    x_a^H x_b for `trials` i.i.d. draws, shape (trials,) + var.shape[:-1] +
-    (n, n). W is complex Wishart(M, diag(var)), sampled by the Bartlett
-    decomposition W = d T^H T d with d = sqrt(var): T is upper trapezoidal
-    with min(M, n) rows, T_kk = sqrt(Gamma(M - k, 1)) and CN(0, 1) entries
-    above the diagonal. That is the R factor of the QR decomposition of an
-    M x n matrix of i.i.d. CN(0, 1) entries, whose Gram it shares, so the
-    law is exact for every M (rank min(M, n)) at O(n^2) draws per trial.
+    For n columns x_a with variances var[..., a], returns F with F^H F = W,
+    W[a, b] = x_a^H x_b, for `trials` i.i.d. draws, shape (trials,) +
+    var.shape[:-1] + (r, n), r = min(M, n). W is complex Wishart(M,
+    diag(var)); F = T diag(sqrt(var)) is its Bartlett factor, with var folded
+    in as the entries are written: T is upper trapezoidal with r rows,
+    T_kk = sqrt(Gamma(M - k, 1)) and CN(0, 1) entries above the diagonal,
+    the R factor of the QR decomposition of an M x n matrix of i.i.d. CN(0, 1)
+    entries. So the law is exact for every M (rank r) at O(n^2) draws per trial.
     """
     if M < 1:
         raise ValueError(f"M={M} must be >= 1")
@@ -60,11 +60,12 @@ def sample_gram(rng: np.random.Generator, var: np.ndarray, M: int,
     r = min(M, n)
     shape = (trials,) + var.shape[:-1]
     rows, cols, diag = _bartlett_indices(r, n)
-    T = np.zeros(shape + (r, n), dtype=complex)
-    T[..., rows, cols] = crandn(rng, shape + (rows.size,))
-    T[..., diag, diag] = np.sqrt(rng.standard_gamma(M - diag, size=shape + (r,)))
-    d = np.sqrt(var)
-    return d[..., :, None] * (T.conj().swapaxes(-1, -2) @ T) * d[..., None, :]
+    F = np.zeros(shape + (r, n), dtype=complex)
+    z = crandn(rng, shape + (rows.size,))
+    z *= np.sqrt(var[..., cols])
+    F[..., rows, cols] = z
+    F[..., diag, diag] = np.sqrt(rng.standard_gamma(M - diag, size=shape + (r,)) * var[..., diag])
+    return F
 
 
 def own_links(tensor: np.ndarray) -> np.ndarray:

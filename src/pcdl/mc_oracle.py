@@ -9,10 +9,10 @@ batch means, and a |z| <= 5 rule separates formula bugs from Monte Carlo
 noise at the documented trial counts.
 
 Every output is a function of each BS's Gram matrix of its estimates and the
-receiver's channel, so a trial samples those (K+1) x (K+1) Gram matrices
-exactly (`estimation.sample_gram`) instead of M-dimensional channels; the
-cost of a trial does not depend on M. The tests hold the sampler against
-M-dimensional channels and an explicit ZF precoder (`tests/reference.py`).
+receiver's channel, so a trial samples an exact factor of that matrix, its
+scaled Bartlett factor (`estimation.sample_gram`), instead of M-dimensional
+channels; the cost of a trial does not depend on M. The tests hold it against
+M-vectors, an explicit ZF precoder and the Gram-matrix route (`tests/reference.py`).
 
 Accumulation uses per-chunk partial sums combined with math.fsum in a fixed
 chunk order, so a given seed reproduces results bit-for-bit.
@@ -86,10 +86,10 @@ def _chunk_iter(scenario, stats, M, precoder, receiver, eff, trials, rng):
     t0 = 0
     while t0 < trials:
         c = min(chunk, trials - t0)
-        gram = sample_gram(rng, var, M, c)
+        F = sample_gram(rng, var, M, c)
         s = crandn(rng, (c, L, K))
         w = crandn(rng, (c,))
-        gain, y, power = kernel(gram, s, w, alpha_own, c_rx, i, scale, eff.lam,
+        gain, y, power = kernel(F, s, w, alpha_own, c_rx, i, scale, eff.lam,
                                 scenario.rho_d)
         yield t0, gain, y, power, s[:, :, i]
         t0 += c

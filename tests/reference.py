@@ -19,7 +19,12 @@ None of this is on a path `sweep`, `verify` or `scenario` runs:
   (`RateRegion2`, `snd_region`, `intersect`) and the layered PD bounds one
   split at a time (`pd_terms_from_budget`, `pd_mi_terms`), and the PD
   grid's tie-break by search over every maximum (`pd_tie_break`);
-- the M-dimensional channel path the Gram-matrix oracle is tested against
+- the oracle's former route on whole Gram matrices: the sampler that
+  multiplies the Bartlett factor out to W = d T^H T d
+  (`sample_gram_matrix`) and the kernels that read the estimate Gram G
+  from W and solve it by LU (`mrt_chunk_gram`, `zf_chunk_gram`), which the
+  factor kernels must match on the same draws;
+- the M-dimensional channel path the oracle is tested against
   (`sample_channels`, `ChannelRealization`, `zf_precoder`) and the MRT
   channel-hardening table (`hardening_check`);
 - `load_scenario_config`, a scenario-only config file reader.
@@ -34,8 +39,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from pcdl._kernels import COND_LIMIT
-from pcdl.estimation import EstimationStats, crandn, own_links
+from pcdl._kernels import COND_LIMIT, _outputs
+from pcdl.estimation import EstimationStats, _bartlett_indices, crandn, own_links
 from pcdl.geometry import (SQRT3, NetworkScenario, ScenarioConfig, bs_layout,
                            hex_apothem, parse_key_values, path_loss_db,
                            scenario_config_from_dict)
@@ -396,6 +401,89 @@ def pd_tie_break(values: np.ndarray, mu: np.ndarray) -> tuple[int, int]:
     idx = np.argwhere(values == values.max())
     keys = [(mu[i1] + mu[i2], mu[i1], int(i1), int(i2)) for i1, i2 in idx]
     return min(keys)[2:]
+
+
+# --- the Gram-matrix oracle route ------------------------------------------
+
+def sample_gram_matrix(rng: np.random.Generator, var: np.ndarray, M: int,
+                       trials: int) -> np.ndarray:
+    """Gram matrices W = d T^H T d of the Bartlett factor T: the same draws
+    as `estimation.sample_gram`, multiplied out."""
+    if M < 1:
+        raise ValueError(f"M={M} must be >= 1")
+    var = np.asarray(var, dtype=float)
+    n = var.shape[-1]
+    r = min(M, n)
+    shape = (trials,) + var.shape[:-1]
+    rows, cols, diag = _bartlett_indices(r, n)
+    T = np.zeros(shape + (r, n), dtype=complex)
+    T[..., rows, cols] = crandn(rng, shape + (rows.size,))
+    T[..., diag, diag] = np.sqrt(rng.standard_gamma(M - diag, size=shape + (r,)))
+    d = np.sqrt(var)
+    return d[..., :, None] * (T.conj().swapaxes(-1, -2) @ T) * d[..., None, :]
+
+
+def _estimate_gram(gram, alpha_own, c_rx, i):
+    """(G, t) per trial and cell from the observation Gram W (c, L, K+1, K+1)."""
+    K = alpha_own.shape[1]
+    a = alpha_own[None]                                       # (1,L,K)
+    G = a[..., :, None] * gram[..., :K, :K] * a[..., None, :]
+    t = a * (c_rx[None, :, None] * gram[..., :K, i] + gram[..., :K, K])
+    return G, t
+
+
+def mrt_chunk_gram(gram, s, w, alpha_own, c_rx, i, scale, lam, rho_d):
+    """`_kernels.mrt_chunk` on the Gram matrices W instead of their factors."""
+    G, t = _estimate_gram(gram, alpha_own, c_rx, i)
+    K = G.shape[-1]
+    gain, y = _outputs(t.conj(), s, w, scale, i)
+    tx2 = np.einsum("cjk,cjkl,cjl->cj", s.conj(), G, s).real  # ||sum_k ghat_k s_k||^2
+    power = rho_d * tx2 / (lam[None, :] * K)
+    return gain, y, power
+
+
+def _well_conditioned(G, G_inv):
+    """Per trial, whether ||G||_F ||G^-1||_F <= COND_LIMIT / 2.
+
+    The product bounds cond_2(G) from above. Half the limit leaves room for
+    the rounding of the computed inverse (relative error about cond * eps,
+    1e-4 at the limit), so an accepted G has cond_2 <= COND_LIMIT. G is a
+    Gram matrix, so rounding can push an eigenvalue below zero only by about
+    K * eps * tr G, while an accepted G keeps every |eigenvalue| above
+    tr G / (sqrt(K) * COND_LIMIT): an accepted G is positive definite too.
+    NaN and inf products fail.
+    """
+    def fro2(X):
+        Xr = X.view(np.float64)
+        return np.einsum("...ij,...ij->...", Xr, Xr)
+    return fro2(G) * fro2(G_inv) <= (0.5 * COND_LIMIT) ** 2
+
+
+def zf_chunk_gram(gram, s, w, alpha_own, c_rx, i, scale, lam, rho_d):
+    """`_kernels.zf_chunk` on the Gram matrices W: one LU solve with K + 2
+    right-hand sides gives G^-1 t, G^-1 s and G^-1 for the guard."""
+    G, t = _estimate_gram(gram, alpha_own, c_rx, i)
+    K = G.shape[-1]
+    # one LU solve gives G^-1 [ghat^H g_rx, s] and G^-1 itself for the guard
+    rhs = np.empty(G.shape[:-1] + (K + 2,), dtype=complex)
+    rhs[..., 0] = t
+    rhs[..., 1] = s
+    rhs[..., 2:] = np.eye(K)
+    try:
+        sol = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("estimated channel matrix is rank deficient") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        unsure = ~_well_conditioned(G, sol[..., 2:])
+    if unsure.any():
+        # the bound cannot clear these trials: decide by the exact eigenvalues
+        ev = np.linalg.eigvalsh(G[unsure])
+        if np.any(ev[:, 0] <= 0) or np.any(ev[:, -1] > COND_LIMIT * ev[:, 0]):
+            raise np.linalg.LinAlgError("estimated channel matrix is rank deficient")
+    uq = sol[..., :2]
+    gain, y = _outputs(uq[..., 0].conj(), s, w, scale, i)
+    power = rho_d * np.einsum("cjk,cjk->cj", s.conj(), uq[..., 1]).real / (lam[None, :] * K)
+    return gain, y, power
 
 
 # --- the M-dimensional channel path ----------------------------------------

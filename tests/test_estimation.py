@@ -139,12 +139,13 @@ def test_mmse_orthogonality_statistical(small_drop):
 
 @pytest.mark.parametrize("M", [3, 64])
 def test_sample_gram_wishart_moments(M):
-    # complex Wishart(M, diag(var)): E[W] = M diag(var) and
-    # E|W_ab|^2 = M var_a var_b (+ M^2 var_a^2 on the diagonal);
-    # M = 3 < K + 1 = 5 is the rank-deficient branch
+    # the sampled factor F gives W = F^H F complex Wishart(M, diag(var)):
+    # E[W] = M diag(var) and E|W_ab|^2 = M var_a var_b (+ M^2 var_a^2 on
+    # the diagonal); M = 3 < K + 1 = 5 is the rank-deficient branch
     K, trials = 4, 20_000
     var = np.array([0.5, 1.0, 2.0, 3.0, 0.25])
-    W = sample_gram(np.random.default_rng(M), var, M, trials)
+    F = sample_gram(np.random.default_rng(M), var, M, trials)
+    W = F.conj().swapaxes(-1, -2) @ F
     n = K + 1
     assert W.shape == (trials, n, n)
     assert np.allclose(W, W.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)

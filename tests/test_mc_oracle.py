@@ -1,16 +1,18 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pcdl import _kernels, mc_oracle
-from pcdl.estimation import crandn, own_links
+from pcdl.estimation import crandn, own_links, sample_gram
 from pcdl.mc_oracle import (N_BATCHES, _batch_bounds, _batch_sums, _chunk_iter,
                             _gram_law, empirical_moments, verification_rows,
                             write_report_csv)
 from pcdl.rate_core import Precoder, effective_gain, power_decomposition
-from reference import hardening_check, sample_channels, zf_precoder
+from reference import (hardening_check, mrt_chunk_gram, sample_channels,
+                       sample_gram_matrix, zf_chunk_gram, zf_precoder)
 
 
 def test_zf_precoder_single_column():
@@ -145,52 +147,68 @@ def test_zf_gram_guard_in_kernel():
     rng = np.random.default_rng(4)
     x = crandn(rng, (1, L, M, K + 1))
     x[..., 1] = x[..., 0]
-    gram = x.conj().swapaxes(-1, -2) @ x
+    factor = np.linalg.qr(x, mode="r")  # factor^H factor = x^H x
     s = crandn(rng, (1, L, K))
     w = crandn(rng, (1,))
-    args = (gram, s, w, np.ones((L, K)), np.ones(L), 0, np.ones(L), np.ones(L), 1.0)
+    args = (factor, s, w, np.ones((L, K)), np.ones(L), 0, np.ones(L), np.ones(L), 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
         _kernels.zf_chunk(*args)
 
 
-def _hermitian_with_spectrum(ev, rng):
-    """U diag(ev) U^H for a random unitary U."""
+def test_zf_exact_zero_pivot_is_rank_deficient():
+    # an exact zero on the factor's diagonal makes the triangular inverse
+    # divide by zero: the guard must reject the chunk without a warning
+    L, K = 2, 4
+    rng = np.random.default_rng(9)
+    factor = np.triu(crandn(rng, (1, L, K + 1, K + 1)))
+    factor[0, 1, 2, 2] = 0.0
+    args = (factor, crandn(rng, (1, L, K)), crandn(rng, (1,)), np.ones((L, K)),
+            np.ones(L), 0, np.ones(L), np.ones(L), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            _kernels.zf_chunk(*args)
+
+
+def _vectors_with_spectrum(ev, rng):
+    """x = diag(sqrt(ev)) U^H for a random unitary U: x^H x = U diag(ev) U^H."""
     n = len(ev)
     U, _ = np.linalg.qr(crandn(rng, (n, n)))
-    G = (U * np.asarray(ev)) @ U.conj().T
-    return 0.5 * (G + G.conj().T)
+    return np.sqrt(np.asarray(ev))[:, None] * U.conj().T
 
 
 def _guard_case(name):
-    """(estimate Gram G, eigvalsh calls the guard may make) of a named case."""
+    """(vectors x with estimate Gram G = x^H x, eigvalsh calls the guard may
+    make) of a named case."""
     K = 15
     rng = np.random.default_rng(12)
-    if name == "cond 1e11":   # the Frobenius bound clears it alone
-        return _hermitian_with_spectrum(np.logspace(0, -11, K), rng), {0}
+    if name == "cond 1e11":   # the trace bound clears it alone
+        return _vectors_with_spectrum(np.logspace(0, -11, K), rng), {0}
     if name == "cond 9e11":   # clustered small eigenvalues: the bound reads
-        # ||G||_F ||G^-1||_F = 3.4e12, so only the eigenvalues clear it
-        return _hermitian_with_spectrum([1.0] + [1 / 9e11] * (K - 1), rng), {1}
+        # tr(G) tr(G^-1) = 1.3e13, so only the eigenvalues clear it
+        return _vectors_with_spectrum([1.0] + [1 / 9e11] * (K - 1), rng), {1}
     if name == "cond 1e13":
-        return _hermitian_with_spectrum(np.logspace(0, -13, K), rng), {1}
-    x = crandn(rng, (64, K))  # cond inf: two identical columns; the solve
-    x[:, 1] = x[:, 0]         # may meet an exact zero pivot first
-    return x.conj().T @ x, {0, 1}
+        return _vectors_with_spectrum(np.logspace(0, -13, K), rng), {1}
+    x = crandn(rng, (64, K))  # cond inf: two identical columns; the factor
+    x[:, 1] = x[:, 0]         # may hold an exact zero pivot
+    return x, {0, 1}
 
 
 @pytest.mark.parametrize("case", ["cond 1e11", "cond 9e11", "cond 1e13", "cond inf"])
 def test_zf_guard_decides_like_eigenvalue_rule(monkeypatch, case):
-    G, allowed_calls = _guard_case(case)
+    x, allowed_calls = _guard_case(case)
+    G = x.conj().T @ x
     K = G.shape[-1]
     ev = np.linalg.eigvalsh(G)
     reject = ev[0] <= 0 or ev[-1] > _kernels.COND_LIMIT * ev[0]
     assert reject == (case in ("cond 1e13", "cond inf"))
 
-    # unit alphas, c_j and scale make G the kernel's estimate Gram
-    gram = np.zeros((1, 1, K + 1, K + 1), dtype=complex)
-    gram[0, 0, :K, :K] = G
-    gram[0, 0, K, K] = 1.0
+    # unit alphas, c_j and scale make R^H R = G the kernel's estimate Gram
+    factor = np.zeros((1, 1, K + 1, K + 1), dtype=complex)
+    factor[0, 0, :K, :K] = np.linalg.qr(x, mode="r")
+    factor[0, 0, K, K] = 1.0
     rng = np.random.default_rng(3)
-    args = (gram, crandn(rng, (1, 1, K)), crandn(rng, (1,)), np.ones((1, K)),
+    args = (factor, crandn(rng, (1, 1, K)), crandn(rng, (1,)), np.ones((1, K)),
             np.ones(1), 0, np.ones(1), np.ones(1), 1.0)
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -327,8 +345,9 @@ def _vector_trial(real, s, w, scenario, eff, precoder, receiver):
 
 @pytest.mark.parametrize("precoder", [Precoder.MRT, Precoder.ZF])
 def test_kernels_match_vector_algebra(small_drop, precoder):
-    # the Gram of [obs_j1..obs_jK, e_j] built from sampled vectors gives the
-    # kernels the same outputs as the precoder applied to those vectors
+    # a factor of the Gram of [obs_j1..obs_jK, e_j], the R of the sampled
+    # vectors' QR, gives the kernels the same outputs as the precoder
+    # applied to those vectors
     scenario, stats = small_drop
     L, K = scenario.n_cells, scenario.users_per_cell
     M, receiver, trials = 12, (1, 0), 5
@@ -344,9 +363,9 @@ def test_kernels_match_vector_algebra(small_drop, precoder):
         obs = real.pilot_observation(scenario.rho_p)            # (L, K, M)
         x[t, :, :, :K] = obs.transpose(0, 2, 1)
         x[t, :, :, K] = real.g[:, i, l] - c_rx[:, None] * obs[:, i]
-    gram = x.conj().swapaxes(-1, -2) @ x
+    factor = np.linalg.qr(x, mode="r")
     kernel = _kernels.mrt_chunk if precoder is Precoder.MRT else _kernels.zf_chunk
-    gain, y, power = kernel(gram, s, w, own_links(stats.alpha), c_rx, i,
+    gain, y, power = kernel(factor, s, w, own_links(stats.alpha), c_rx, i,
                             np.sqrt(scenario.rho_d / eff.lam), eff.lam,
                             scenario.rho_d)
     for t, real in enumerate(reals):
@@ -355,6 +374,57 @@ def test_kernels_match_vector_algebra(small_drop, precoder):
         assert np.allclose(gain[t], g_v, rtol=1e-9, atol=0)
         assert np.isclose(y[t], y_v, rtol=1e-9, atol=0)
         assert np.allclose(power[t], p_v, rtol=1e-9, atol=0)
+
+
+def _route_inputs(scenario, stats, M, precoder, receiver, trials, seed):
+    """(F, W, args): the factors F and the Gram matrices W = F^H F of the
+    same draws, from the library's sampler and the reference one, and the
+    kernels' other arguments."""
+    L, K = scenario.n_cells, scenario.users_per_cell
+    eff = effective_gain(scenario, stats, M, precoder, receiver)
+    var, c_rx = _gram_law(scenario, receiver)
+    F = sample_gram(np.random.default_rng(seed), var, M, trials)
+    W = sample_gram_matrix(np.random.default_rng(seed), var, M, trials)
+    rng = np.random.default_rng(seed + 1)
+    args = (crandn(rng, (trials, L, K)), crandn(rng, (trials,)), own_links(stats.alpha),
+            c_rx, receiver[0], np.sqrt(scenario.rho_d / eff.lam), eff.lam, scenario.rho_d)
+    return F, W, args
+
+
+@pytest.mark.parametrize("precoder, M", [(Precoder.MRT, 3), (Precoder.MRT, 12),
+                                         (Precoder.MRT, 64), (Precoder.ZF, 6),
+                                         (Precoder.ZF, 64), (Precoder.ZF, 10**6)])
+def test_factor_kernels_match_gram_kernels(small_drop, precoder, M):
+    # the same draws through the factor route and the former Gram route;
+    # MRT at M = 3 < K + 1 has a 3-row factor, ZF at M = K + 2 is the
+    # smallest M above K + 1
+    scenario, stats = small_drop
+    assert (M < scenario.users_per_cell + 1) == (M == 3)
+    F, W, args = _route_inputs(scenario, stats, M, precoder, (1, 0), 64, M)
+    assert F.shape[-2] == min(M, scenario.users_per_cell + 1)
+    if precoder is Precoder.MRT:
+        new, old = _kernels.mrt_chunk(F, *args), mrt_chunk_gram(W, *args)
+    else:
+        new, old = _kernels.zf_chunk(F, *args), zf_chunk_gram(W, *args)
+    for got, want in zip(new, old):       # gain, y, power
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("precoder", [Precoder.MRT, Precoder.ZF])
+def test_factor_moments_match_gram_moments(small_drop, monkeypatch, precoder):
+    scenario, stats = small_drop
+
+    def moments():
+        return empirical_moments(scenario, stats, 16, precoder, (0, 1), 1000,
+                                 np.random.default_rng(23))
+
+    new = moments()
+    monkeypatch.setattr(mc_oracle, "sample_gram", sample_gram_matrix)
+    monkeypatch.setattr(_kernels, "mrt_chunk", mrt_chunk_gram)
+    monkeypatch.setattr(_kernels, "zf_chunk", zf_chunk_gram)
+    old = moments()
+    for field in ("mean_gain", "gain_se", "noise_var", "noise_se", "power", "power_se"):
+        assert np.allclose(getattr(new, field), getattr(old, field), rtol=1e-10, atol=0), field
 
 
 @pytest.mark.parametrize("precoder", [Precoder.MRT, Precoder.ZF])

@@ -3,8 +3,9 @@ wraps each `LAYERS` entry with `getattr`, and `run.py` and `checks.py`
 import pcdl names. No other test imports those files, so these tests check
 that every name they read still resolves. The files are loaded as they are:
 spans.py is executed, run.py (which acts when imported) is only parsed.
-checks.py is also executed, and its output checks run on small sweeps and
-oracle combos, so an output the benchmark would call incorrect fails here."""
+checks.py is also executed, and its output checks run on small sweeps, on
+oracle combos and on the oracle workloads' own jobs (combos and streams read
+from run.py), so an output the benchmark would call incorrect fails here."""
 
 import ast
 import importlib
@@ -97,3 +98,35 @@ def test_benchmark_checks_pass_on_oracle_combos():
                                       Precoder.parse(prec), receiver, omega, 1000,
                                       np.random.default_rng(c)))
     assert _load("checks").check_oracle(scen, 0, combos, rows) == []
+
+
+def _oracle_workloads():
+    """{workload: combos} of run.py's oracle workloads, its ORACLE_ENTROPY
+    and ORACLE_DROP, read from the file's syntax tree: run.py acts when
+    imported."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    consts = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            consts[getattr(node.targets[0], "id", None)] = node.value
+    workloads = {ast.literal_eval(key): ast.literal_eval(value.elts[1])
+                 for key, value in zip(consts["WORKLOADS"].keys, consts["WORKLOADS"].values)
+                 if isinstance(value.elts[0], ast.Name) and value.elts[0].id == "Oracle"}
+    return (workloads, ast.literal_eval(consts["ORACLE_ENTROPY"]),
+            ast.literal_eval(consts["ORACLE_DROP"]))
+
+
+@pytest.mark.parametrize("workload", ["oracle-verify", "oracle-large-m"])
+def test_benchmark_checks_pass_on_the_oracle_workloads(workload):
+    # the jobs `run.py --workload <oracle workload>` times, stream for stream
+    workloads, entropy, drop = _oracle_workloads()
+    assert set(workloads) == {"oracle-verify", "oracle-large-m"}
+    combos = workloads[workload]
+    scen = load_sweep_config(str(REFERENCE_CONFIG)).scenario
+    rows = []
+    for c, (prec, M, receiver, omega) in enumerate(combos):
+        scenario = build_scenario(scen, drop)
+        rng = np.random.default_rng(np.random.SeedSequence((entropy, c)))
+        rows.append(verification_rows(scenario, compute_alpha(scenario), M,
+                                      Precoder.parse(prec), receiver, omega, 1000, rng))
+    assert _load("checks").check_oracle(scen, drop, combos, rows) == []
