@@ -210,13 +210,23 @@ def parse_key_values(path: str) -> dict:
     return out
 
 
+def parse_value(key: str, text: str, kind: type):
+    """kind(text), the value of config key `key`; text that does not parse
+    raises a ValueError that names the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, got {text!r}") from None
+
+
 def scenario_config_from_dict(kv: dict) -> ScenarioConfig:
     names = {f.name for f in fields(ScenarioConfig)}
     kwargs = {}
     for key, val in kv.items():
         if key not in names:
             raise ValueError(f"unknown scenario key: {key}")
-        kwargs[key] = int(val) if key in _INT_FIELDS else float(val)
+        kwargs[key] = parse_value(key, val, int if key in _INT_FIELDS else float)
     return ScenarioConfig(**kwargs)
 
 

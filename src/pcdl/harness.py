@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimation import compute_alpha
 from .geometry import (ScenarioConfig, build_scenario, parse_key_values,
-                       scenario_config_from_dict)
+                       parse_value, scenario_config_from_dict)
 from .rate_core import Precoder
 from .schemes import Budgets, rate_pd, rate_sd, rate_snd, rate_tin
 
@@ -192,7 +192,7 @@ def sweep_config_from_dict(kv: dict) -> SweepConfig:
         elif key in ("schemes", "precoders"):
             kwargs[key] = tuple(v.strip().upper() for v in val.split(","))
         else:
-            kwargs[key] = int(val)
+            kwargs[key] = parse_value(key, val, int)
     return SweepConfig(**kwargs)
 
 

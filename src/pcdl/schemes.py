@@ -2,12 +2,12 @@
 interference-management schemes.
 
 All schemes consume the same per-receiver link budget (coherent powers
-S_j = theta_j^2 and effective noise N), at every M of a sweep at once.
-`Budgets.of` reads `rate_core.link_budgets` once for one (precoder, pilot
-index) over all the M values; the harness builds it once per (drop,
-precoder) and hands it to every requested scheme's `rate_*`, which returns
-one rate per M. N does not depend on the decode set, so a decode set omega
-gets the bound C(sum_{j in omega} S_j / N):
+S_j = theta_j^2 and effective noise N), at every M of a sweep at once. N
+does not depend on the decode set, so decode set omega gets the bound
+C(sum_{j in omega} S_j / N). `Budgets.of` reads `rate_core.link_budgets`
+once per (precoder, pilot index) over all M and forms every receiver's
+bounds once (`bound_table`); the harness builds it once per (drop,
+precoder), and every scheme's `rate_*` reads that table:
 
   TIN  decode own signal, interferer in the noise.
   SD   jointly and uniquely decode both signals (MAC diagonal point).
@@ -19,9 +19,9 @@ gets the bound C(sum_{j in omega} S_j / N):
        region is the standard 7-inequality superposition region; the split
        pair (mu1, mu2) is optimized on a grid.
 
-TIN, SD and SND are array arithmetic over M. PD searches its (mu1, mu2)
-grid once per M: the terms that depend on one cell's mu only are 1-D, and
-the seven bounds fold into one grid in place.
+TIN, SD and SND are array arithmetic over the table. PD searches its
+(mu1, mu2) grid once per M: the terms that depend on one cell's mu only are
+1-D, and the seven bounds fold into one grid in place.
 
 The public `sym_rate_*(scenario, stats, M, precoder, i)` are thin wrappers:
 they build the budgets at the one M and call the matching `rate_*`, which
@@ -64,20 +64,23 @@ class Budgets(NamedTuple):
     every M of a sweep: S[m, l, j] = theta_j^2 is the coherent power of cell
     j's signal at receiver (i, l) and N[l] that receiver's effective noise,
     the same at every M. precoder, M and i name a budget in the clamp
-    messages."""
+    messages; C and tin hold `bound_table(S, N)`, which the schemes read."""
 
     S: np.ndarray          # (n_M, L, L)
     N: np.ndarray          # (L,)
     precoder: Precoder
     M: tuple[int, ...]
     i: int
+    C: np.ndarray          # (n_M, L, n_Omega)
+    tin: np.ndarray        # (n_M, L)
 
     @classmethod
     def of(cls, scenario: NetworkScenario, stats: EstimationStats, m_values,
            precoder: Precoder, i: int) -> "Budgets":
         """Read `rate_core.link_budgets` once, for every M in m_values."""
         theta, noise = link_budgets(scenario, stats, m_values, precoder, i)
-        return cls(theta ** 2, noise, precoder, tuple(m_values), i)
+        S = theta ** 2
+        return cls(S, noise, precoder, tuple(m_values), i, *bound_table(S, noise))
 
 
 def _fsum(terms):
@@ -88,21 +91,23 @@ def _fsum(terms):
     return np.array([math.fsum(t) for t in zip(*np.broadcast_arrays(*terms))])
 
 
-def _decode_bound(b: Budgets, l: int, omega) -> np.ndarray:
-    """C(p1 / N) at receiver l, p1 = sum of S_j over the decode set omega."""
-    return capacity_bits(_fsum([b.S[:, l, j] for j in omega]) / b.N[l])
-
-
-def _tin(b: Budgets, l: int) -> np.ndarray:
-    """Receiver l decodes its own signal, every other cell's in the noise."""
-    S = b.S[:, l]
-    others = [S[:, j] for j in range(S.shape[1]) if j != l]
-    return capacity_bits(S[:, l] / _fsum([b.N[l]] + others))
+def bound_table(S: np.ndarray, N: np.ndarray):
+    """(C, tin) of budgets S (n_M, L, L) and N (L,): C[m, l, o] = C(S_omega /
+    N_l) at receiver l, omega = decode_sets(L)[o], and tin[m, l] the bound of
+    its own signal with every other cell's in the noise."""
+    sets = decode_sets(len(N))
+    C, tin = np.empty(S.shape[:2] + (len(sets),)), np.empty(S.shape[:2])
+    for l, n in enumerate(N):
+        for o, omega in enumerate(sets):
+            C[:, l, o] = capacity_bits(_fsum([S[:, l, j] for j in omega]) / n)
+        others = [S[:, l, j] for j in range(len(N)) if j != l]
+        tin[:, l] = capacity_bits(S[:, l, l] / _fsum([n] + others))
+    return C, tin
 
 
 def rate_tin(b: Budgets) -> np.ndarray:
     """Worst receiver's treat-interference-as-noise rate, per M."""
-    return np.min([_tin(b, l) for l in range(b.S.shape[1])], axis=0)
+    return b.tin.min(axis=1)
 
 
 def rate_sd(b: Budgets) -> np.ndarray:
@@ -111,11 +116,7 @@ def rate_sd(b: Budgets) -> np.ndarray:
     L = b.S.shape[1]
     if L < 2:
         raise ValueError("SD needs at least two cells")
-    best = np.full(len(b.M), math.inf)
-    for l in range(L):
-        for omega in decode_sets(L):
-            np.minimum(best, _decode_bound(b, l, omega) / len(omega), out=best)
-    return best
+    return (b.C / [len(omega) for omega in decode_sets(L)]).min(axis=(1, 2))
 
 
 CLAMP_TOL_BITS = 1e-12  # largest correction a floor at TIN may make, in bits
@@ -141,17 +142,15 @@ def _snd_at_receiver(i_own, i_oth, i_12):
 
 def rate_snd(b: Budgets) -> np.ndarray:
     """Symmetric rate under non-unique interference decoding (2 cells only),
-    per M."""
+    per M; decode_sets(2) is (0,), (1,), (0, 1)."""
     if b.S.shape[1] != 2:
         raise ValueError("SND symmetric solver covers the 2-cell system only")
     rates = []
     for l in range(2):
-        r = _snd_at_receiver(_decode_bound(b, l, (l,)), _decode_bound(b, l, (1 - l,)),
-                             _decode_bound(b, l, (0, 1)))
-        tin = _tin(b, l)
+        r = _snd_at_receiver(b.C[:, l, l], b.C[:, l, 1 - l], b.C[:, l, 2])
         # region contains the TIN point; floor guards the log-identity rounding
-        _check_clamp("SND", tin - r, b, (l,))
-        rates.append(np.maximum(r, tin))
+        _check_clamp("SND", b.tin[:, l] - r, b, (l,))
+        rates.append(np.maximum(r, b.tin[:, l]))
     return np.minimum(*rates)
 
 

@@ -305,6 +305,25 @@ def test_evaluate_drop_reads_each_budget_once(monkeypatch, paper_config):
         assert calls == [(config.m_values, Precoder.parse(p), 0) for p in config.precoders]
 
 
+def test_evaluate_drop_forms_each_bound_once(monkeypatch):
+    # one capacity evaluation per receiver and decode set, plus one TIN bound
+    # per receiver, for each precoder: 2 x (2 x 3 + 2) = 16 per drop, which
+    # every scheme then reads
+    calls = []
+    original = schemes.capacity_bits
+
+    def counted(snr):
+        calls.append(snr)
+        return original(snr)
+
+    monkeypatch.setattr(schemes, "capacity_bits", counted)
+    config = load_sweep_config(str(REFERENCE_CONFIG))
+    for drop in range(3):
+        calls.clear()
+        _evaluate_drop(config, drop)
+        assert len(calls) == 16
+
+
 # sha256 of the CSV `pcdl sweep --config configs/reference_sweep.cfg` writes.
 # A change that moves any bit of it updates this pin and writes up why.
 REFERENCE_SWEEP_SHA256 = "e0f954993fd40189f725290117fa888b4a8cff825254cfcb65e4e2a4b0bb9a38"
@@ -361,6 +380,12 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, argv, message):
      "{path}: every M must be >= 1, got -4"),
     ("n_drops = 2\nschemes = TIN, tin\n", "{path}: schemes must not repeat"),
     ("n_drops = 2\nprecoders = MRT, mrt\n", "{path}: precoders must not repeat"),
+    ("L = 2.5\nn_drops = 2\n", "{path}: L must be an integer, got '2.5'"),
+    ("n_drops = 2\ncell_radius_m = abc\n",
+     "{path}: cell_radius_m must be a number, got 'abc'"),
+    ("n_drops = 2\npilot_index = first\n",
+     "{path}: pilot_index must be an integer, got 'first'"),
+    ("n_drops = 2\nmu_grid = 2.5\n", "{path}: mu_grid must be an integer, got '2.5'"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "verify", "scenario"])
 def test_cli_rejects_bad_config_file(tmp_path, capsys, lines, message, command):

@@ -2,10 +2,12 @@
 every coherent power and noise level anywhere in 1e-12..1e12, and of the
 config file format."""
 
+import itertools
 import os
 import tempfile
 from dataclasses import fields
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,8 @@ from pcdl.geometry import (ScenarioConfig, parse_key_values,
                            scenario_config_from_dict)
 from pcdl.harness import SCHEMES, SweepConfig, sweep_config_from_dict
 from pcdl.rate_core import capacity_bits
-from pcdl.schemes import CLAMP_TOL_BITS, _pd_symmetric_grid, _snd_at_receiver
+from pcdl.schemes import (CLAMP_TOL_BITS, _pd_symmetric_grid, _snd_at_receiver,
+                          bound_table, decode_sets)
 
 # deterministic, and no example database written next to the sources
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True,
@@ -46,6 +49,36 @@ def test_pd_grid_holds_its_tin_corner(s1_own, s1_int, n1, s2_own, s2_int, n2):
     # mu = (1, 1): both cells send only outer layers, which is TIN
     assert abs(values[-1, -1] - tin) <= CLAMP_TOL_BITS
     assert values.max() >= tin - CLAMP_TOL_BITS
+
+
+@st.composite
+def receiver_budgets(draw):
+    """(S, N) of L = 2..4 receivers at one M: S (1, L, L) and N (L,)."""
+    L = draw(st.integers(2, 4))
+    S = draw(st.lists(power, min_size=L * L, max_size=L * L))
+    N = draw(st.lists(power, min_size=L, max_size=L))
+    return np.reshape(S, (1, L, L)), np.array(N)
+
+
+@PROPERTY_SETTINGS
+@given(receiver_budgets())
+def test_bound_table_is_a_polymatroid(budget):
+    # C(S_omega / N) is a concave function of a sum of nonnegative powers, so
+    # each receiver's bounds are monotone and submodular in the decode set,
+    # and TIN's bound never exceeds that of decoding the own signal alone
+    S, N = budget
+    L = len(N)
+    C, tin = bound_table(S, N)
+    bound = {frozenset(): 0.0}
+    for l in range(L):
+        bound.update((frozenset(omega), C[0, l, o])
+                     for o, omega in enumerate(decode_sets(L)))
+        for a, b in itertools.product(bound, repeat=2):
+            if a <= b:
+                assert bound[a] <= bound[b] + CLAMP_TOL_BITS
+            assert (bound[a | b] + bound[a & b]
+                    <= bound[a] + bound[b] + CLAMP_TOL_BITS)
+        assert tin[0, l] <= C[0, l, l] + CLAMP_TOL_BITS
 
 
 # a config draws some 20 values, so fewer examples than the rate properties

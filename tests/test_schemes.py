@@ -7,12 +7,12 @@ import pytest
 from pcdl.estimation import compute_alpha
 from pcdl.geometry import build_scenario
 from pcdl.harness import DEFAULT_M_VALUES
-from pcdl.rate_core import Precoder, capacity_bits, link_budget
+from pcdl.rate_core import Precoder, capacity_bits, link_budget, power_decomposition
 from pcdl import schemes
 from pcdl.schemes import (PdSplit, _pd_symmetric_grid, _snd_at_receiver,
                           sym_rate_pd, sym_rate_sd, sym_rate_snd, sym_rate_tin)
 from conftest import toy_scenario
-from reference import (MiTerms2, RateRegion2, RegionConstraint, intersect,
+from reference import (MiTerms2, RateRegion2, RegionConstraint, c_lb, intersect,
                        mi_terms, pd_mi_terms, pd_terms_from_budget, pd_tie_break,
                        snd_region, tin_lb)
 
@@ -433,7 +433,8 @@ def test_three_cell_sums_stay_compensated():
     # correctly rounded (math.fsum) it is 1 + 2^-52
     tiny = 1e-16
     S = np.array([[[4.0, tiny, tiny], [tiny, 4.0, tiny], [tiny, tiny, 4.0]]])
-    b = schemes.Budgets(S=S, N=np.ones(3), precoder=Precoder.MRT, M=(64,), i=0)
+    b = schemes.Budgets(S, np.ones(3), Precoder.MRT, (64,), 0,
+                        *schemes.bound_table(S, np.ones(3)))
     den = math.fsum([1.0, tiny, tiny])
     assert den != (1.0 + tiny) + tiny
     assert schemes.rate_tin(b)[0] == capacity_bits(4.0 / den)
@@ -454,3 +455,27 @@ def test_three_cell_tin_equals_the_reference_bound(paper_config):
             for m, M in enumerate(DEFAULT_M_VALUES):
                 assert tin[m] == min(tin_lb(scenario, stats, M, prec, (0, l))
                                      for l in range(3))
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_bound_table_equals_the_reference_bounds(paper_config, L):
+    # every entry of the table Budgets.of fills, in decode_sets(L) order,
+    # against the scalar route of one receiver, one M and one decode set
+    from dataclasses import replace
+    config = replace(paper_config, L=L)
+    sets = schemes.decode_sets(L)
+    for drop in range(4):
+        scenario = build_scenario(config, drop)
+        stats = compute_alpha(scenario)
+        for prec in (Precoder.MRT, Precoder.ZF):
+            b = schemes.Budgets.of(scenario, stats, DEFAULT_M_VALUES, prec, 0)
+            assert b.C.shape == (len(DEFAULT_M_VALUES), L, len(sets))
+            assert b.tin.shape == (len(DEFAULT_M_VALUES), L)
+            for m, M in enumerate(DEFAULT_M_VALUES):
+                for l in range(L):
+                    receiver = (0, l)
+                    assert b.tin[m, l] == tin_lb(scenario, stats, M, prec, receiver)
+                    for o, omega in enumerate(sets):
+                        ref = c_lb(power_decomposition(scenario, stats, M, prec,
+                                                       receiver, omega))
+                        assert b.C[m, l, o] == ref, (drop, prec, M, l, omega)

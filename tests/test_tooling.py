@@ -78,10 +78,15 @@ def test_perfbench_pcdl_names_resolve(script):
     assert not missing, f"perfbench/{script} reads missing pcdl names: {missing}"
 
 
-def test_benchmark_checks_pass_on_a_small_reference_sweep(tmp_path):
+@pytest.mark.parametrize("L, schemes, n_drops", [
+    (2, ("TIN", "SD", "SND", "PD"), 2),
+    # TIN and SD recomputed from beta without pcdl's rate code, at three cells
+    (3, ("TIN", "SD"), 3),
+], ids=["L2", "L3"])
+def test_benchmark_checks_pass_on_a_small_reference_sweep(tmp_path, L, schemes, n_drops):
     config = load_sweep_config(str(REFERENCE_CONFIG))
-    config = replace(config, scenario=replace(config.scenario, n_drops=2),
-                     m_values=(32, 1024, 10**6))
+    config = replace(config, scenario=replace(config.scenario, L=L, n_drops=n_drops),
+                     m_values=(32, 1024, 10**6), schemes=schemes)
     result = run_sweep(config)
     out = tmp_path / "sweep.csv"
     write_sweep_csv(result, str(out))
