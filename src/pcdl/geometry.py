@@ -189,7 +189,8 @@ def build_scenario(config: ScenarioConfig, drop_index: int = 0) -> NetworkScenar
 
 # --- config file / CSV I/O -------------------------------------------------
 
-_INT_FIELDS = {"L", "K", "n_drops", "seed"}
+# the annotations are strings under `from __future__ import annotations`
+_INT_FIELDS = {f.name for f in fields(ScenarioConfig) if f.type == "int"}
 
 
 def parse_key_values(path: str) -> dict:

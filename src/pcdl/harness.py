@@ -11,6 +11,7 @@ drops from that table's rows, in drop order.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -41,6 +42,9 @@ class SweepConfig:
         for name in ("m_values", "schemes", "precoders"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        for M in self.m_values:
+            if not isinstance(M, numbers.Integral):
+                raise ValueError(f"every M must be an integer, got {M}")
         if list(self.m_values) != sorted(set(self.m_values)):
             raise ValueError("m_values must be strictly ascending")
         L = self.scenario.L
@@ -188,7 +192,10 @@ def sweep_config_from_dict(kv: dict) -> SweepConfig:
         if key not in _SWEEP_KEYS:
             raise ValueError(f"unknown sweep key: {key}")
         if key == "m_values":
-            kwargs[key] = tuple(parse_antenna_count(v) for v in val.split(","))
+            try:
+                kwargs[key] = tuple(parse_antenna_count(v) for v in val.split(","))
+            except ValueError as exc:
+                raise ValueError(f"m_values: {exc}") from None
         elif key in ("schemes", "precoders"):
             kwargs[key] = tuple(v.strip().upper() for v in val.split(","))
         else:

@@ -10,9 +10,9 @@ where theta_j is the deterministic mean effective gain of cell j's signal and
 w' lumps beamforming-gain uncertainty, other-user interference and thermal
 noise. Replacing w' by a Gaussian of equal variance gives achievable-rate
 lower bounds C(P1 / N) for any decode set Omega, with P1 the coherent power
-of the decoded signals and N the variance of w'. P1 = sum_{j in Omega}
-theta_j^2, so one link budget per receiver, (theta, N), fixes every bound;
-`schemes` reads nothing else.
+of the decoded signals and N the variance of w'. P1 = sum_{j in Omega} S_j
+with S_j = theta_j^2, so one link budget per receiver, (S, N), fixes every
+bound; `schemes` reads nothing else.
 
 At receiver (i, l), N has one closed form per precoder:
 
@@ -30,12 +30,12 @@ coherent part theta_j^2, never its uncertainty. The term-by-term split
 these forms sum lives with the tests (`tests/reference.py`), which check N
 against it.
 
-Only lambda_j carries M: it is proportional to M (MRT) or to 1/(M - K) (ZF),
-and N does not depend on M at all. So `link_budgets` builds a receiver's
-budget for every M of a sweep in one pass: the sums over users are taken
-once, and each M costs a few array multiplications. `effective_gain`,
-`link_budget` and `power_decomposition` read that one implementation at a
-single M.
+M enters through one factor: every coherent power is linear in M_eff (M under
+MRT, M - K under ZF), S_j = M_eff S1_j, and N does not depend on M (Ngo,
+Larsson and Marzetta, IEEE Trans. Commun. 2013). `link_budgets` returns the
+M-free budget (S1, N), `m_eff` alone forms the factor, `schemes.Budgets.of`
+scales S1 to every M, and the scalar views below read it at one M:
+theta_j = sqrt(M_eff S1_j), p1 = sum_{j in Omega} M_eff S1_j.
 
 All sums run in linear scale with compensated summation (math.fsum); beta
 entries span ten-plus orders of magnitude.
@@ -98,45 +98,32 @@ def _check_receiver(scenario: NetworkScenario, receiver: tuple[int, int]) -> tup
     return i, l
 
 
-def _normalization(scenario: NetworkScenario, stats: EstimationStats,
-                   m_values, precoder: Precoder) -> np.ndarray:
-    """lambda_j at every M in m_values, shape (n_M, L).
-
-    The sum over cell j's users does not depend on M; it is taken once and
-    scaled by the M factor: (M/K) under MRT, 1/(K (M - K)) under ZF.
-    """
-    K = scenario.users_per_cell
-    gam = stats.gamma()
-    M = np.asarray(m_values, dtype=float)[:, None]
+def m_eff(m_values, precoder: Precoder, K: int) -> np.ndarray:
+    """M_eff at every M in m_values, shape (n_M,): M under MRT, M - K under
+    ZF. The one place where M enters a link budget."""
     if precoder is Precoder.MRT:
         if min(m_values) < 1:
             raise ValueError("M must be >= 1")
-        return (M / K) * np.array([math.fsum(g) for g in gam])
+        return np.asarray(m_values, dtype=float)
     low = [m for m in m_values if m <= K]
     if low:
         raise ValueError(f"ZF requires M > K (got M={low[0]}, K={K})")
-    return np.array([math.fsum(1.0 / g) for g in gam]) / (K * (M - K))
+    return np.asarray(m_values, dtype=float) - K
 
 
-def _gains(scenario: NetworkScenario, stats: EstimationStats, m_values,
-           precoder: Precoder, i: int):
-    """(theta, lam): theta[m, l, j], the gain of cell j at receiver (i, l),
-    and lam[m, j], for every M in m_values.
+def _user_sums(stats: EstimationStats, precoder: Precoder) -> np.ndarray:
+    """fsum(gamma_j) under MRT, fsum(1/gamma_j) under ZF, shape (L,)."""
+    gam = stats.gamma() if precoder is Precoder.MRT else 1.0 / stats.gamma()
+    return np.array([math.fsum(g) for g in gam])
 
-    MRT: theta_j = sqrt(rho_d/lam_j) * M * sqrt(rho_p) * beta[j,i,l] * alpha[j,i,j]
-    ZF:  theta_j = sqrt(rho_d/lam_j) * beta[j,i,l] / beta[j,i,j]
-    """
-    lam = _normalization(scenario, stats, m_values, precoder)
-    own = np.arange(scenario.n_cells)
-    cross = scenario.beta[:, i, :].T                   # (l, j)
-    amp = np.sqrt(scenario.rho_d / lam)                # (m, j)
-    if precoder is Precoder.MRT:
-        M = np.asarray(m_values, dtype=float)[:, None]
-        amp = amp * M * math.sqrt(scenario.rho_p)
-        theta = amp[:, None, :] * cross * stats.alpha[own, i, own]
-    else:
-        theta = amp[:, None, :] * cross / scenario.beta[own, i, own]
-    return theta, lam
+
+def _normalization(scenario: NetworkScenario, stats: EstimationStats, M: int,
+                   precoder: Precoder) -> np.ndarray:
+    """lambda_j at one M, shape (L,), for the oracle's precoders: (M_eff / K)
+    fsum(gamma_j) under MRT, fsum(1/gamma_j) / (K M_eff) under ZF."""
+    K = scenario.users_per_cell
+    m, sums = m_eff((M,), precoder, K)[0], _user_sums(stats, precoder)
+    return (m / K) * sums if precoder is Precoder.MRT else sums / (K * m)
 
 
 def _noise(scenario: NetworkScenario, stats: EstimationStats,
@@ -149,31 +136,45 @@ def _noise(scenario: NetworkScenario, stats: EstimationStats,
     return np.array([1.0 + scenario.rho_d * K * math.fsum(b) for b in beta.T])
 
 
-def link_budgets(scenario: NetworkScenario, stats: EstimationStats, m_values,
+def link_budgets(scenario: NetworkScenario, stats: EstimationStats,
                  precoder: Precoder, i: int):
-    """(theta, N) at every receiver (i, l) and every M in m_values: theta
-    with shape (n_M, L, L), theta[m, l, j] the gain of cell j at receiver
-    (i, l), and N with shape (L,). The one implementation of the link budget;
-    the scalar functions below read it at one M."""
+    """(S1, N) at every receiver (i, l), the one implementation of the link
+    budget: S1 (L, L), S1[l, j] = rho_d K coef_lj^2 / sums_j the coherent
+    power of cell j per unit M_eff (sums from `_user_sums`), and N (L,).
+    coef_lj = sqrt(rho_p) beta[j,i,l] alpha[j,i,j] (MRT), beta[j,i,l] /
+    beta[j,i,j] (ZF)."""
     _check_receiver(scenario, (i, 0))
-    return (_gains(scenario, stats, m_values, precoder, i)[0],
-            _noise(scenario, stats, precoder, i))
+    own = np.arange(scenario.n_cells)
+    cross = scenario.beta[:, i, :].T                   # (l, j)
+    if precoder is Precoder.MRT:
+        coef = math.sqrt(scenario.rho_p) * cross * stats.alpha[own, i, own]
+    else:
+        coef = cross / scenario.beta[own, i, own]
+    S1 = scenario.rho_d * scenario.users_per_cell * coef ** 2 / _user_sums(stats, precoder)
+    return S1, _noise(scenario, stats, precoder, i)
+
+
+def _budget_at(scenario: NetworkScenario, stats: EstimationStats, M: int,
+               precoder: Precoder, receiver: tuple[int, int]):
+    """(M_eff S1[l], N[l]): receiver (i, l)'s coherent powers and noise at one M."""
+    i, l = _check_receiver(scenario, receiver)
+    S1, noise = link_budgets(scenario, stats, precoder, i)
+    return m_eff((M,), precoder, scenario.users_per_cell)[0] * S1[l], float(noise[l])
 
 
 def effective_gain(scenario: NetworkScenario, stats: EstimationStats, M: int,
                    precoder: Precoder, receiver: tuple[int, int]) -> EffectiveChannel:
-    """Per-cell mean effective gains theta_j at receiver (i, l), at one M."""
-    i, l = _check_receiver(scenario, receiver)
-    theta, lam = _gains(scenario, stats, (M,), precoder, i)
-    return EffectiveChannel(theta=theta[0, l], lam=lam[0])
+    """Per-cell mean effective gains theta_j = sqrt(M_eff S1[l, j]) at
+    receiver (i, l), with the oracle's lambda_j, at one M."""
+    theta, _ = link_budget(scenario, stats, M, precoder, receiver)
+    return EffectiveChannel(theta=theta, lam=_normalization(scenario, stats, M, precoder))
 
 
 def link_budget(scenario: NetworkScenario, stats: EstimationStats, M: int,
                 precoder: Precoder, receiver: tuple[int, int]):
     """(theta, effective noise power N) at one receiver and one M."""
-    i, l = _check_receiver(scenario, receiver)
-    theta, noise = link_budgets(scenario, stats, (M,), precoder, i)
-    return theta[0, l], float(noise[l])
+    S, noise = _budget_at(scenario, stats, M, precoder, receiver)
+    return np.sqrt(S), noise
 
 
 def power_decomposition(scenario: NetworkScenario, stats: EstimationStats,
@@ -182,9 +183,8 @@ def power_decomposition(scenario: NetworkScenario, stats: EstimationStats,
     """The link budget seen by decode set omega: its coherent power and N."""
     omega = frozenset(omega)
     _check_omega(omega, scenario.n_cells)
-    theta, noise = link_budget(scenario, stats, M, precoder, receiver)
-    return PowerDecomposition(p1=math.fsum(float(theta[j]) ** 2 for j in omega),
-                              noise=noise)
+    S, noise = _budget_at(scenario, stats, M, precoder, receiver)
+    return PowerDecomposition(p1=math.fsum(float(S[j]) for j in omega), noise=noise)
 
 
 def decode_sets(L: int) -> list[tuple[int, ...]]:

@@ -2,10 +2,10 @@
 interference-management schemes.
 
 All schemes consume the same per-receiver link budget (coherent powers
-S_j = theta_j^2 and effective noise N), at every M of a sweep at once. N
+S_j = M_eff S1_j and effective noise N), at every M of a sweep at once. N
 does not depend on the decode set, so decode set omega gets the bound
-C(sum_{j in omega} S_j / N). `Budgets.of` reads `rate_core.link_budgets`
-once per (precoder, pilot index) over all M and forms every receiver's
+C(sum_{j in omega} S_j / N). `Budgets.of` scales `rate_core.link_budgets`
+to every M once per (precoder, pilot index) and forms every receiver's
 bounds once (`bound_table`); the harness builds it once per (drop,
 precoder), and every scheme's `rate_*` reads that table:
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from .estimation import EstimationStats
 from .geometry import NetworkScenario
-from .rate_core import Precoder, capacity_bits, decode_sets, link_budgets
+from .rate_core import Precoder, capacity_bits, decode_sets, link_budgets, m_eff
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class PdSplit:
 
 class Budgets(NamedTuple):
     """Link budgets of the receivers (i, l), l = 0..L-1, for one precoder at
-    every M of a sweep: S[m, l, j] = theta_j^2 is the coherent power of cell
-    j's signal at receiver (i, l) and N[l] that receiver's effective noise,
-    the same at every M. precoder, M and i name a budget in the clamp
+    every M of a sweep: S[m, l, j] = M_eff[m] S1[l, j] is the coherent power
+    of cell j's signal at receiver (i, l) and N[l] that receiver's effective
+    noise, the same at every M. precoder, M and i name a budget in the clamp
     messages; C and tin hold `bound_table(S, N)`, which the schemes read."""
 
     S: np.ndarray          # (n_M, L, L)
@@ -77,9 +77,9 @@ class Budgets(NamedTuple):
     @classmethod
     def of(cls, scenario: NetworkScenario, stats: EstimationStats, m_values,
            precoder: Precoder, i: int) -> "Budgets":
-        """Read `rate_core.link_budgets` once, for every M in m_values."""
-        theta, noise = link_budgets(scenario, stats, m_values, precoder, i)
-        S = theta ** 2
+        """Read `rate_core.link_budgets` once; scale S1 to every M in m_values."""
+        S1, noise = link_budgets(scenario, stats, precoder, i)
+        S = m_eff(m_values, precoder, scenario.users_per_cell)[:, None, None] * S1
         return cls(S, noise, precoder, tuple(m_values), i, *bound_table(S, noise))
 
 

@@ -6,9 +6,13 @@ None of this is on a path `sweep`, `verify` or `scenario` runs:
   tensor filled one entry at a time (`sample_hexagon_point`,
   `place_users_loop`, `build_beta_loop`), which `geometry`'s array path
   must equal bit for bit;
-- the per-cell loop that built the gains theta one M and one cell at a
-  time, in the operation order `rate_core.link_budgets` keeps
-  (`theta_per_cell`);
+- the per-cell loop that builds the unit-M_eff powers S1 one cell at a
+  time, and from them S = M_eff S1 and theta = sqrt(M_eff S1), in the
+  operation order `rate_core.link_budgets` and `rate_core.m_eff` keep
+  (`unit_budget_per_cell`, `theta_per_cell`);
+- the unit-M_eff budget in 50-digit decimal arithmetic from the float
+  inputs (`exact_unit_budget`), and the distance of a float from it in
+  ulps (`ulps`);
 - the term-by-term power split of a decode set (`PowerTerms`,
   `power_decomposition_mrt`, `power_decomposition_zf`, `power_terms`), the
   route the closed-form noise of `rate_core.link_budget` is checked against,
@@ -32,6 +36,7 @@ None of this is on a path `sweep`, `verify` or `scenario` runs:
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
@@ -106,30 +111,88 @@ def build_beta_loop(config: ScenarioConfig, bs_positions: np.ndarray,
     return beta, rho_d, rho_p
 
 
-# --- the gains one cell at a time -----------------------------------------
+# --- the budget one cell at a time ----------------------------------------
 
-def theta_per_cell(scenario: NetworkScenario, stats: EstimationStats, M: int,
-                   precoder: Precoder, receiver: tuple[int, int]) -> np.ndarray:
-    """theta_j at receiver (i, l) for one M, cell by cell:
+def _m_eff(M: int, precoder: Precoder, K: int) -> float:
+    return float(M) if precoder is Precoder.MRT else float(M) - K
 
-    MRT: lam_j = (M/K) fsum_k gamma_jk,
-         theta_j = sqrt(rho_d/lam_j) * M * sqrt(rho_p) * beta[j,i,l] * alpha[j,i,j]
-    ZF:  lam_j = fsum_k (1/gamma_jk) / (K (M - K)),
-         theta_j = sqrt(rho_d/lam_j) * beta[j,i,l] / beta[j,i,j]
+
+def unit_budget_per_cell(scenario: NetworkScenario, stats: EstimationStats,
+                         precoder: Precoder, receiver: tuple[int, int]) -> list[float]:
+    """S1_j, cell j's coherent power at receiver (i, l) per unit M_eff, cell
+    by cell:
+
+    MRT: S1_j = rho_d K (sqrt(rho_p) beta[j,i,l] alpha[j,i,j])^2 / fsum_k gamma_jk
+    ZF:  S1_j = rho_d K (beta[j,i,l] / beta[j,i,j])^2 / fsum_k (1/gamma_jk)
     """
     i, l = receiver
     K = scenario.users_per_cell
     beta, alpha, gam = scenario.beta, stats.alpha, stats.gamma()
-    theta = np.zeros(scenario.n_cells)
+    S1 = []
     for j in range(scenario.n_cells):
         if precoder is Precoder.MRT:
-            lam = (M / K) * math.fsum(gam[j])
-            theta[j] = (math.sqrt(scenario.rho_d / lam) * M * math.sqrt(scenario.rho_p)
-                        * beta[j, i, l] * alpha[j, i, j])
+            coef = math.sqrt(scenario.rho_p) * beta[j, i, l] * alpha[j, i, j]
+            sums = math.fsum(gam[j])
         else:
-            lam = math.fsum(1.0 / g for g in gam[j]) / (K * (M - K))
-            theta[j] = math.sqrt(scenario.rho_d / lam) * beta[j, i, l] / beta[j, i, j]
-    return theta
+            coef = beta[j, i, l] / beta[j, i, j]
+            sums = math.fsum(1.0 / g for g in gam[j])
+        S1.append(scenario.rho_d * K * (coef * coef) / sums)
+    return S1
+
+
+def theta_per_cell(scenario: NetworkScenario, stats: EstimationStats, M: int,
+                   precoder: Precoder, receiver: tuple[int, int]) -> np.ndarray:
+    """theta_j = sqrt(M_eff S1_j) at receiver (i, l) for one M, cell by cell,
+    with M_eff = M under MRT and M - K under ZF."""
+    m = _m_eff(M, precoder, scenario.users_per_cell)
+    return np.array([math.sqrt(m * s) for s in
+                     unit_budget_per_cell(scenario, stats, precoder, receiver)])
+
+
+def exact_unit_budget(scenario: NetworkScenario, precoder: Precoder,
+                      i: int, digits: int = 50):
+    """(S1, N) at every receiver (i, l) as `Decimal`, S1[l][j] and N[l],
+    computed at `digits` significant digits from the float beta, rho_p and
+    rho_d taken as exact. alpha and gamma are rebuilt from beta, not read
+    from `compute_alpha`."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        L, K = scenario.n_cells, scenario.users_per_cell
+        beta = [[[D(float(b)) for b in row] for row in plane] for plane in scenario.beta]
+        rho_p, rho_d = D(scenario.rho_p), D(scenario.rho_d)
+        srp = rho_p.sqrt()
+        den = [[1 + rho_p * sum(beta[j][k]) for k in range(K)] for j in range(L)]
+
+        def alpha(j, k, l):
+            return srp * beta[j][k][l] / den[j][k]
+
+        gam = [[srp * beta[j][k][j] * alpha(j, k, j) for k in range(K)] for j in range(L)]
+        if precoder is Precoder.MRT:
+            sums = [sum(g) for g in gam]
+        else:
+            sums = [sum(1 / x for x in g) for g in gam]
+        S1, N = [], []
+        for l in range(L):
+            row = []
+            for j in range(L):
+                if precoder is Precoder.MRT:
+                    coef = srp * beta[j][i][l] * alpha(j, i, j)
+                else:
+                    coef = beta[j][i][l] / beta[j][i][j]
+                row.append(rho_d * K * coef * coef / sums[j])
+            S1.append(row)
+            if precoder is Precoder.MRT:
+                leak = sum(beta[j][i][l] for j in range(L))
+            else:
+                leak = sum(beta[j][i][l] * (1 - srp * alpha(j, i, l)) for j in range(L))
+            N.append(1 + rho_d * K * leak)
+        return S1, N
+
+
+def ulps(value: float, exact: decimal.Decimal) -> float:
+    """|value - exact| in units of the last place of value."""
+    return float(abs(decimal.Decimal(value) - exact) / decimal.Decimal(math.ulp(value)))
 
 
 # --- term-by-term power split ----------------------------------------------
@@ -171,7 +234,7 @@ def power_decomposition_mrt(scenario: NetworkScenario, stats: EstimationStats,
     srp = math.sqrt(rho_p)
     gam = stats.gamma()
 
-    lam = _normalization(scenario, stats, (M,), Precoder.MRT)[0]
+    lam = _normalization(scenario, stats, M, Precoder.MRT)
     p1_terms = []
     p2_terms = []
     p3_terms = []
@@ -199,7 +262,7 @@ def power_decomposition_zf(scenario: NetworkScenario, stats: EstimationStats,
     srp = math.sqrt(scenario.rho_p)
     gam = stats.gamma()
 
-    lam = _normalization(scenario, stats, (M,), Precoder.ZF)[0]
+    lam = _normalization(scenario, stats, M, Precoder.ZF)
     p1_terms = []
     p2_terms = []
     for j in range(L):
@@ -232,13 +295,13 @@ def c_lb(pd: PowerTerms | PowerDecomposition) -> float:
 def tin_lb(scenario: NetworkScenario, stats: EstimationStats, M: int,
            precoder: Precoder, receiver: tuple[int, int]) -> float:
     """Rate of decoding only the own-cell signal, all coherent interferers
-    absorbed into the worst-case noise: C(S_l / (N + sum_{j != l} S_j))."""
+    absorbed into the worst-case noise: C(S_l / (N + sum_{j != l} S_j)),
+    with S_j = M_eff S1_j cell by cell."""
     i, l = receiver
-    theta, noise = link_budget(scenario, stats, M, precoder, receiver)
-    s_own = float(theta[l]) ** 2
-    denom = math.fsum([noise] + [float(theta[j]) ** 2
-                                 for j in range(len(theta)) if j != l])
-    return capacity_bits(s_own / denom)
+    m = _m_eff(M, precoder, scenario.users_per_cell)
+    S = [m * s for s in unit_budget_per_cell(scenario, stats, precoder, receiver)]
+    _, noise = link_budget(scenario, stats, M, precoder, receiver)
+    return capacity_bits(S[l] / math.fsum([noise] + [S[j] for j in range(len(S)) if j != l]))
 
 
 def p2_mrt_compact(scenario: NetworkScenario, stats: EstimationStats,
@@ -251,7 +314,7 @@ def p2_mrt_compact(scenario: NetworkScenario, stats: EstimationStats,
     i, l = receiver
     beta = scenario.beta
     gam = stats.gamma()
-    lam = _normalization(scenario, stats, (M,), Precoder.MRT)[0]
+    lam = _normalization(scenario, stats, M, Precoder.MRT)
     terms = []
     for j in range(scenario.n_cells):
         terms.append(M * (scenario.rho_d / lam[j]) * gam[j, i] * beta[j, i, l])

@@ -116,6 +116,8 @@ def test_sweep_config_validation():
         SweepConfig(pilot_index=99)
     with pytest.raises(ValueError, match="mu_grid"):
         SweepConfig(mu_grid=1)
+    with pytest.raises(ValueError, match="every M must be an integer, got 64.5"):
+        SweepConfig(m_values=(64.5, 100.25))
 
 
 def test_sweep_config_file(tmp_path):
@@ -289,12 +291,13 @@ def test_evaluate_drop_equals_public_rates(paper_config):
 
 
 def test_evaluate_drop_reads_each_budget_once(monkeypatch, paper_config):
-    # one budget build per (drop, precoder), covering every M at once
+    # one unit-M_eff budget build per (drop, precoder); m_eff scales it to
+    # every M
     calls = []
     original = schemes.link_budgets
 
     def counted(*args, **kwargs):
-        calls.append((tuple(args[2]), args[3], args[4]))
+        calls.append((args[2], args[3]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(schemes, "link_budgets", counted)
@@ -302,7 +305,7 @@ def test_evaluate_drop_reads_each_budget_once(monkeypatch, paper_config):
     for drop in range(5):
         calls.clear()
         _evaluate_drop(config, drop)
-        assert calls == [(config.m_values, Precoder.parse(p), 0) for p in config.precoders]
+        assert calls == [(Precoder.parse(p), 0) for p in config.precoders]
 
 
 def test_evaluate_drop_forms_each_bound_once(monkeypatch):
@@ -326,7 +329,7 @@ def test_evaluate_drop_forms_each_bound_once(monkeypatch):
 
 # sha256 of the CSV `pcdl sweep --config configs/reference_sweep.cfg` writes.
 # A change that moves any bit of it updates this pin and writes up why.
-REFERENCE_SWEEP_SHA256 = "e0f954993fd40189f725290117fa888b4a8cff825254cfcb65e4e2a4b0bb9a38"
+REFERENCE_SWEEP_SHA256 = "be3a67f1da5a579b624dc492361e35578940f52515e5c0f841bb8b58ccc5c458"
 
 
 def test_reference_sweep_csv_is_pinned(tmp_path):
@@ -386,6 +389,8 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, argv, message):
     ("n_drops = 2\npilot_index = first\n",
      "{path}: pilot_index must be an integer, got 'first'"),
     ("n_drops = 2\nmu_grid = 2.5\n", "{path}: mu_grid must be an integer, got '2.5'"),
+    ("n_drops = 2\nm_values = 32, abc\n",
+     "{path}: m_values: antenna count 'abc' is not an integer"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "verify", "scenario"])
 def test_cli_rejects_bad_config_file(tmp_path, capsys, lines, message, command):

@@ -1,6 +1,6 @@
 """Property tests of the per-receiver rate formulas over link budgets with
-every coherent power and noise level anywhere in 1e-12..1e12, and of the
-config file format."""
+every coherent power and noise level anywhere in 1e-12..1e12, of the link
+budget's scaling in M, and of the config file format."""
 
 import itertools
 import os
@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from pcdl.geometry import (ScenarioConfig, parse_key_values,
                            scenario_config_from_dict)
 from pcdl.harness import SCHEMES, SweepConfig, sweep_config_from_dict
-from pcdl.rate_core import capacity_bits
-from pcdl.schemes import (CLAMP_TOL_BITS, _pd_symmetric_grid, _snd_at_receiver,
-                          bound_table, decode_sets)
+from pcdl.rate_core import Precoder, capacity_bits, link_budgets, m_eff
+from pcdl.schemes import (CLAMP_TOL_BITS, Budgets, _pd_symmetric_grid,
+                          _snd_at_receiver, bound_table, decode_sets)
 
 # deterministic, and no example database written next to the sources
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True,
@@ -79,6 +79,25 @@ def test_bound_table_is_a_polymatroid(budget):
             assert (bound[a | b] + bound[a & b]
                     <= bound[a] + bound[b] + CLAMP_TOL_BITS)
         assert tin[0, l] <= C[0, l, l] + CLAMP_TOL_BITS
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(Precoder), st.integers(0, 14), st.data())
+def test_budgets_scale_the_unit_budget_by_m_eff(paper_drop, precoder, i, data):
+    # S = M_eff S1 bit for bit at every M of any ascending list, and N and
+    # each M's row are the ones a budget of that M alone gets
+    scenario, stats = paper_drop
+    K = scenario.users_per_cell
+    lowest = K + 1 if precoder is Precoder.ZF else 1
+    m_values = sorted(data.draw(st.lists(st.integers(lowest, 10 ** 30), min_size=1,
+                                         max_size=12, unique=True)))
+    S1, N = link_budgets(scenario, stats, precoder, i)
+    b = Budgets.of(scenario, stats, m_values, precoder, i)
+    assert (b.S == m_eff(m_values, precoder, K)[:, None, None] * S1).all()
+    assert (b.N == N).all()
+    for m, M in enumerate(m_values):
+        one = Budgets.of(scenario, stats, (M,), precoder, i)
+        assert (one.S[0] == b.S[m]).all() and (one.N == N).all()
 
 
 # a config draws some 20 values, so fewer examples than the rate properties

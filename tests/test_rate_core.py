@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ from pcdl.geometry import build_scenario
 from pcdl.harness import DEFAULT_M_VALUES
 from pcdl.rate_core import (Precoder, _normalization, capacity_bits,
                             decode_sets, effective_gain, link_budget,
-                            link_budgets, power_decomposition)
+                            link_budgets, m_eff, power_decomposition)
+from pcdl.schemes import Budgets
 from conftest import toy_scenario
-from reference import (PowerTerms, c_lb, p2_mrt_compact,
+from reference import (PowerTerms, c_lb, exact_unit_budget, p2_mrt_compact,
                        power_decomposition_mrt, power_decomposition_zf,
-                       power_terms, theta_per_cell, tin_lb)
+                       power_terms, theta_per_cell, tin_lb, ulps,
+                       unit_budget_per_cell)
 
 
 def unit_scenario(rho_p=1.0, rho_d=1.0):
@@ -22,7 +25,7 @@ def unit_scenario(rho_p=1.0, rho_d=1.0):
 
 def lam(scenario, stats, M, precoder, j):
     """Cell j's precoder normalization lambda_j at one M."""
-    return _normalization(scenario, stats, (M,), precoder)[0, j]
+    return _normalization(scenario, stats, M, precoder)[j]
 
 
 def test_lambda_mrt_hand_value():
@@ -289,8 +292,9 @@ def test_link_budget_noise_equals_reference_terms(paper_config):
 
 
 def test_link_budgets_over_m_equal_the_single_m_reads(paper_config):
-    # one pass per (drop, precoder, pilot index) gives every M; each entry is
-    # the same float the single-M functions and the per-cell loop give
+    # one unit-M_eff budget per (drop, precoder, pilot index) gives every M;
+    # each scalar view at one M reads the same floats as M_eff S1 and the
+    # per-cell loop
     K, L = paper_config.K, paper_config.L
     m_values = sorted(set(DEFAULT_M_VALUES) | {K + 1, K + 2, 2 ** 20})
     for drop in range(5):
@@ -298,31 +302,71 @@ def test_link_budgets_over_m_equal_the_single_m_reads(paper_config):
         stats = compute_alpha(scenario)
         for prec in (Precoder.MRT, Precoder.ZF):
             for i in range(K):
-                theta, noise = link_budgets(scenario, stats, m_values, prec, i)
-                assert theta.shape == (len(m_values), L, L) and noise.shape == (L,)
-                for m, M in enumerate(m_values):
+                S1, noise = link_budgets(scenario, stats, prec, i)
+                assert S1.shape == (L, L) and noise.shape == (L,)
+                for l in range(L):
+                    assert S1[l].tolist() == unit_budget_per_cell(scenario, stats, prec, (i, l))
+                for m, M in zip(m_eff(m_values, prec, K), m_values):
                     for l in range(L):
                         eff = effective_gain(scenario, stats, M, prec, (i, l))
                         t, n = link_budget(scenario, stats, M, prec, (i, l))
-                        assert np.array_equal(theta[m, l], eff.theta)
-                        assert np.array_equal(theta[m, l], t) and noise[l] == n
-                        assert np.array_equal(theta[m, l],
+                        assert np.array_equal(eff.theta, np.sqrt(m * S1[l]))
+                        assert np.array_equal(t, eff.theta) and noise[l] == n
+                        assert np.array_equal(eff.theta,
                                               theta_per_cell(scenario, stats, M, prec, (i, l)))
+                        for j in range(L):
+                            pd = power_decomposition(scenario, stats, M, prec, (i, l), (j,))
+                            assert pd.p1 == m * S1[l, j] and pd.noise == n
 
 
 def test_link_budgets_reject_zf_at_m_le_k(paper_drop):
+    # m_eff owns the check, so the budgets over M and the scalar views share it
     scenario, stats = paper_drop
     K = scenario.users_per_cell
     for m_values in ((K,), (K - 1, K + 1), (32, K)):
         with pytest.raises(ValueError, match=f"ZF requires M > K \\(got M={min(m_values)}"):
-            link_budgets(scenario, stats, m_values, Precoder.ZF, 0)
+            Budgets.of(scenario, stats, m_values, Precoder.ZF, 0)
     with pytest.raises(ValueError, match="ZF requires M > K"):
         effective_gain(scenario, stats, K, Precoder.ZF, (0, 0))
-    link_budgets(scenario, stats, (K + 1,), Precoder.ZF, 0)
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        Budgets.of(scenario, stats, (0, 64), Precoder.MRT, 0)
+    Budgets.of(scenario, stats, (K + 1,), Precoder.ZF, 0)
 
 
 def test_link_budgets_reject_a_bad_pilot_index(paper_drop):
     scenario, stats = paper_drop
     for i in (-1, scenario.users_per_cell):
         with pytest.raises(ValueError, match="out of range"):
-            link_budgets(scenario, stats, (64,), Precoder.MRT, i)
+            link_budgets(scenario, stats, Precoder.MRT, i)
+
+
+# Largest distance from the 50-digit budget, in ulps, over drops 0..19 of the
+# default config, pilot index 0, both receivers and the 10 reference M.
+# Measured maxima: S1 5.49 (MRT) and 3.31 (ZF); M_eff S1 6.49 and 3.77; N
+# 1.15 (MRT). ZF's N reads 4131 ulps (5.3e-13 relative) on drop 5: its term
+# 1 - sqrt(rho_p) alpha_jil cancels where the own link's sqrt(rho_p) alpha is
+# 0.9997. Each bound sits 21% (N under ZF) to 74% (N under MRT) above its
+# maximum.
+EXACT_ULPS = {"S1": 8.0, "S": 8.0, "N_mrt": 2.0, "N_zf": 5000.0}
+
+
+def test_budgets_lie_within_a_few_ulps_of_the_exact_budget(paper_config):
+    K, L = paper_config.K, paper_config.L
+    worst = dict.fromkeys(EXACT_ULPS, 0.0)
+    for drop in range(20):
+        scenario = build_scenario(paper_config, drop)
+        stats = compute_alpha(scenario)
+        for prec in (Precoder.MRT, Precoder.ZF):
+            S1, N = link_budgets(scenario, stats, prec, 0)
+            S1_exact, N_exact = exact_unit_budget(scenario, prec, 0)
+            n_key = "N_mrt" if prec is Precoder.MRT else "N_zf"
+            for l in range(L):
+                worst[n_key] = max(worst[n_key], ulps(float(N[l]), N_exact[l]))
+                for j in range(L):
+                    worst["S1"] = max(worst["S1"], ulps(float(S1[l, j]), S1_exact[l][j]))
+                    for m in m_eff(DEFAULT_M_VALUES, prec, K):
+                        with decimal.localcontext() as ctx:
+                            ctx.prec = 50
+                            exact = decimal.Decimal(int(m)) * S1_exact[l][j]
+                        worst["S"] = max(worst["S"], ulps(float(m * S1[l, j]), exact))
+    assert all(worst[k] <= EXACT_ULPS[k] for k in EXACT_ULPS), worst

@@ -260,8 +260,9 @@ def test_pd_tie_break_rule():
 
     budgets = []
     for l in range(2):
-        theta, noise = link_budget(scenario, stats, 64, Precoder.MRT, (0, l))
-        budgets.append(((float(theta[l]) ** 2, float(theta[1 - l]) ** 2), noise))
+        own, cross = (power_decomposition(scenario, stats, 64, Precoder.MRT, (0, l), (j,))
+                      for j in (l, 1 - l))
+        budgets.append(((own.p1, cross.p1), own.noise))
     mu = np.linspace(0.0, 1.0, grid)
     values = _pd_symmetric_grid(*budgets[0], *budgets[1], grid)
     ties = np.argwhere(values == values.max())
