@@ -51,10 +51,10 @@ class SweepConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme: {s}")
-            if s == "SD" and L < 2:
-                raise ValueError(f"scheme SD needs L >= 2 cells, got L = {L}")
-            if s in ("SND", "PD") and L != 2:
-                raise ValueError(f"scheme {s} covers L = 2 cells only, got L = {L}")
+            if s in ("SD", "SND") and L < 2:
+                raise ValueError(f"scheme {s} needs L >= 2 cells, got L = {L}")
+            if s == "PD" and L != 2:
+                raise ValueError(f"scheme PD covers L = 2 cells only, got L = {L}")
         parsed = [Precoder.parse(p) for p in self.precoders]
         for name, items in (("schemes", self.schemes), ("precoders", parsed)):
             if len(set(items)) < len(items):

@@ -1,36 +1,31 @@
-"""Maximum symmetric rate of the 2-cell pilot-sharing pair under four
+"""Maximum symmetric rate of the pilot-sharing set under four
 interference-management schemes.
 
-All schemes consume the same per-receiver link budget (coherent powers
-S_j = M_eff S1_j and effective noise N), at every M of a sweep at once. N
-does not depend on the decode set, so decode set omega gets the bound
-C(sum_{j in omega} S_j / N). `Budgets.of` scales `rate_core.link_budgets`
-to every M once per (precoder, pilot index) and forms every receiver's
-bounds once (`bound_table`); the harness builds it once per (drop,
-precoder), and every scheme's `rate_*` reads that table:
+Every scheme reads one link budget per receiver (coherent powers
+S_j = M_eff S1_j and effective noise N), at every M of a sweep at once.
+Receiver l decodes a set D that holds l and treats the cells outside D as
+noise, so each subset T of D has the bound C(S_T / (N_l + S_{not D}))
+(Bandemer, El Gamal and Kim, IEEE Trans. IT 2015). `Budgets.of` scales
+`rate_core.link_budgets` to every M and forms all these bounds once, in one
+table (`bound_table`). TIN, SD and SND are index reductions over it:
 
-  TIN  decode own signal, interferer in the noise.
-  SD   jointly and uniquely decode both signals (MAC diagonal point).
-  SND  decode own signal uniquely, interferer non-uniquely: per receiver
-       R <= I_own|oth and R + min(R, I_oth|own) <= I_both.
-  PD   rate splitting: each cell layers its signal with an outer-layer power
-       fraction mu; receivers decode the interferer's inner layer
-       non-uniquely and absorb its outer layer into the noise. The rate
-       region is the standard 7-inequality superposition region; the split
-       pair (mu1, mu2) is optimized on a grid.
+  TIN  D = T = {l}: decode the own signal, the others in the noise.
+  SD   D = every cell, every T: decode all signals uniquely (MAC diagonal).
+  SND  the best D under its bounds of the T that hold l: the own signal
+       uniquely, the rest of D non-uniquely. D = {l} is TIN's bound and
+       D = every cell keeps a subset of SD's, so SND >= max(TIN, SD) exactly.
+  PD   rate splitting (L = 2): each cell layers its signal with an
+       outer-layer power fraction mu; receivers decode the interferer's
+       inner layer non-uniquely and absorb its outer layer into the noise,
+       in the standard 7-inequality superposition region, the split
+       (mu1, mu2) searched on one grid per M.
 
-TIN, SD and SND are array arithmetic over the table. PD searches its
-(mu1, mu2) grid once per M: the terms that depend on one cell's mu only are
-1-D, and the seven bounds fold into one grid in place.
-
-The public `sym_rate_*(scenario, stats, M, precoder, i)` are thin wrappers:
-they build the budgets at the one M and call the matching `rate_*`, which
-holds the scheme's one implementation and its checks.
-
-The network symmetric rate is the minimum over the two receivers. SND and PD
-are floored at TIN, whose point both regions contain; a floor that would
-correct more than CLAMP_TOL_BITS raises instead, since that is a fault in
-the formula, not rounding.
+The public `sym_rate_*(scenario, stats, M, precoder, i)` build the budgets
+at one M and call the matching `rate_*`, which holds the scheme's one
+implementation and its checks. The network symmetric rate is the minimum
+over the receivers. PD is floored at TIN, its grid's mu = (1, 1) corner; a
+floor that would correct more than CLAMP_TOL_BITS raises instead, since
+that is a fault in the formula, not rounding.
 """
 
 from __future__ import annotations
@@ -64,15 +59,14 @@ class Budgets(NamedTuple):
     every M of a sweep: S[m, l, j] = M_eff[m] S1[l, j] is the coherent power
     of cell j's signal at receiver (i, l) and N[l] that receiver's effective
     noise, the same at every M. precoder, M and i name a budget in the clamp
-    messages; C and tin hold `bound_table(S, N)`, which the schemes read."""
+    messages; G holds `bound_table(S, N)`, which the schemes read."""
 
     S: np.ndarray          # (n_M, L, L)
     N: np.ndarray          # (L,)
     precoder: Precoder
     M: tuple[int, ...]
     i: int
-    C: np.ndarray          # (n_M, L, n_Omega)
-    tin: np.ndarray        # (n_M, L)
+    G: np.ndarray          # (n_M, L, n_sets, n_sets)
 
     @classmethod
     def of(cls, scenario: NetworkScenario, stats: EstimationStats, m_values,
@@ -80,7 +74,7 @@ class Budgets(NamedTuple):
         """Read `rate_core.link_budgets` once; scale S1 to every M in m_values."""
         S1, noise = link_budgets(scenario, stats, precoder, i)
         S = m_eff(m_values, precoder, scenario.users_per_cell)[:, None, None] * S1
-        return cls(S, noise, precoder, tuple(m_values), i, *bound_table(S, noise))
+        return cls(S, noise, precoder, tuple(m_values), i, bound_table(S, noise))
 
 
 def _fsum(terms):
@@ -91,32 +85,56 @@ def _fsum(terms):
     return np.array([math.fsum(t) for t in zip(*np.broadcast_arrays(*terms))])
 
 
-def bound_table(S: np.ndarray, N: np.ndarray):
-    """(C, tin) of budgets S (n_M, L, L) and N (L,): C[m, l, o] = C(S_omega /
-    N_l) at receiver l, omega = decode_sets(L)[o], and tin[m, l] the bound of
-    its own signal with every other cell's in the noise."""
-    sets = decode_sets(len(N))
-    C, tin = np.empty(S.shape[:2] + (len(sets),)), np.empty(S.shape[:2])
+def bound_table(S: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """The decode-set table of budgets S (n_M, L, L) and N (L,), shape
+    (n_M, L, n_sets, n_sets), stored M-last: G[m, l, d, t] = C(S_T / (N_l +
+    S_{not D})) / |T| with D, T = decode_sets(L)[d], decode_sets(L)[t] where
+    l is in D and T in D. The rest hold 0 where l is not in D and +inf where
+    T is not in D, which a max over D (bounds are >= 0) and a min over T skip."""
+    L, sets = len(N), decode_sets(len(N))
+    snr = np.full((L, len(sets), len(sets), len(S)), np.inf)
     for l, n in enumerate(N):
-        for o, omega in enumerate(sets):
-            C[:, l, o] = capacity_bits(_fsum([S[:, l, j] for j in omega]) / n)
-        others = [S[:, l, j] for j in range(len(N)) if j != l]
-        tin[:, l] = capacity_bits(S[:, l, l] / _fsum([n] + others))
-    return C, tin
+        for d, D in enumerate(sets):
+            if l not in D:
+                snr[l, d] = 0.0
+                continue
+            noise = _fsum([n] + [S[:, l, j] for j in range(L) if j not in D])
+            for t, T in enumerate(sets):
+                if set(T) <= set(D):
+                    snr[l, d, t] = _fsum([S[:, l, j] for j in T]) / noise
+    sizes = np.array([len(T) for T in sets], dtype=float)
+    return (capacity_bits(snr) / sizes[:, None]).transpose(3, 0, 1, 2)
 
 
 def rate_tin(b: Budgets) -> np.ndarray:
-    """Worst receiver's treat-interference-as-noise rate, per M."""
-    return b.tin.min(axis=1)
+    """Worst receiver's treat-interference-as-noise rate, per M: its bound
+    G[m, l, l, l], D = T = {l} = decode_sets(L)[l]."""
+    return b.G.diagonal(0, 1, 2).diagonal(0, 1, 2).min(axis=1)
 
 
 def rate_sd(b: Budgets) -> np.ndarray:
     """Diagonal point of the unique-decoding MAC polytope, worst receiver,
-    per M."""
-    L = b.S.shape[1]
-    if L < 2:
+    per M: every bound of D = every cell, the last decode set."""
+    if b.G.shape[1] < 2:
         raise ValueError("SD needs at least two cells")
-    return (b.C / [len(omega) for omega in decode_sets(L)]).min(axis=(1, 2))
+    return b.G[:, :, -1].min(axis=(1, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _own_in(L: int) -> np.ndarray:
+    """(L, 1, n_sets): decode_sets(L)[t] holds cell l. Shared, so read-only."""
+    own = np.array([[l in T for T in decode_sets(L)] for l in range(L)])[:, None, :]
+    own.flags.writeable = False
+    return own
+
+
+def rate_snd(b: Budgets) -> np.ndarray:
+    """Symmetric rate under non-unique interference decoding, per M: each
+    receiver's best D under its bounds of the T that hold l; worst receiver."""
+    L = b.G.shape[1]
+    if L < 2:
+        raise ValueError("SND needs at least two cells")
+    return b.G.min(axis=3, where=_own_in(L), initial=np.inf).max(axis=2).min(axis=1)
 
 
 CLAMP_TOL_BITS = 1e-12  # largest correction a floor at TIN may make, in bits
@@ -133,25 +151,6 @@ def _check_clamp(what: str, gap: np.ndarray, b: Budgets, cells: tuple[int, ...])
             f"{what} is {gap[m]:.3g} bits below TIN at M={b.M[m]}, {b.precoder.name}, "
             f"receiver {receivers}; the floor absorbs rounding only "
             f"(<= {CLAMP_TOL_BITS:g} bits)")
-
-
-def _snd_at_receiver(i_own, i_oth, i_12):
-    """max R with R <= i_own and R + min(R, i_oth) <= i_12, elementwise."""
-    return np.minimum(i_own, i_12 - np.minimum(i_oth, 0.5 * i_12))
-
-
-def rate_snd(b: Budgets) -> np.ndarray:
-    """Symmetric rate under non-unique interference decoding (2 cells only),
-    per M; decode_sets(2) is (0,), (1,), (0, 1)."""
-    if b.S.shape[1] != 2:
-        raise ValueError("SND symmetric solver covers the 2-cell system only")
-    rates = []
-    for l in range(2):
-        r = _snd_at_receiver(b.C[:, l, l], b.C[:, l, 1 - l], b.C[:, l, 2])
-        # region contains the TIN point; floor guards the log-identity rounding
-        _check_clamp("SND", b.tin[:, l] - r, b, (l,))
-        rates.append(np.maximum(r, b.tin[:, l]))
-    return np.minimum(*rates)
 
 
 @functools.lru_cache(maxsize=None)

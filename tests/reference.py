@@ -19,6 +19,8 @@ None of this is on a path `sweep`, `verify` or `scenario` runs:
   and the compact MRT uncertainty power (`p2_mrt_compact`);
 - per-decode-set rate bounds built from those terms (`c_lb`, `mi_terms`),
   and the TIN bound of one receiver (`tin_lb`);
+- a 2-cell bound table whose receivers both see one triple of decode-set
+  bounds (`mi_table`), for the schemes' reductions;
 - explicit 2-cell rate regions reduced to the diagonal by bisection
   (`RateRegion2`, `snd_region`, `intersect`) and the layered PD bounds one
   split at a time (`pd_terms_from_budget`, `pd_mi_terms`), and the PD
@@ -53,7 +55,7 @@ from pcdl.mc_oracle import _chunk_iter
 from pcdl.rate_core import (PowerDecomposition, Precoder, _check_omega,
                             _normalization, capacity_bits, effective_gain,
                             link_budget)
-from pcdl.schemes import PdSplit
+from pcdl.schemes import Budgets, PdSplit
 
 
 # --- the scenario one user and one gain at a time --------------------------
@@ -345,6 +347,20 @@ def mi_terms(scenario: NetworkScenario, stats: EstimationStats, M: int,
         i_2_given_1=c_lb(power_terms(*args, omega=(1,))),
         i_12=c_lb(power_terms(*args, omega=(0, 1))),
     )
+
+
+def mi_table(i_own: float, i_oth: float, i_12: float) -> Budgets:
+    """One-M budgets of two receivers that both see the bounds (i_own, i_oth,
+    i_12) of decoding both cells, in `schemes.bound_table`'s layout: for
+    D = {l} only T = {l} is a bound, TIN's i_12 - i_oth (the same bound as
+    a log ratio); cells outside D hold 0 and subsets outside D +inf. S and
+    N are None: the table alone carries the bounds."""
+    G = np.zeros((1, 2, 3, 3))
+    for l in range(2):
+        G[0, l, l] = np.inf
+        G[0, l, l, l] = i_12 - i_oth
+        G[0, l, 2] = [i_own, i_oth, i_12 / 2] if l == 0 else [i_oth, i_own, i_12 / 2]
+    return Budgets(None, None, Precoder.MRT, (1,), 0, G)
 
 
 # --- rate regions by bisection ---------------------------------------------

@@ -16,9 +16,9 @@ from pcdl.geometry import ScenarioConfig, build_scenario
 from pcdl.harness import PRACTICAL_M_VALUES, SweepConfig, run_sweep, write_sweep_csv
 from pcdl.mc_oracle import empirical_moments
 from pcdl.rate_core import Precoder, effective_gain, power_decomposition
-from pcdl.schemes import _snd_at_receiver
-from reference import (MiTerms2, c_lb, p2_mrt_compact, power_decomposition_mrt,
-                       snd_region, zf_precoder)
+from pcdl.schemes import rate_snd
+from reference import (MiTerms2, c_lb, mi_table, p2_mrt_compact,
+                       power_decomposition_mrt, snd_region, zf_precoder)
 from test_schemes import random_mi_triple
 
 PAPER_M = (128, 256, 1024)
@@ -272,7 +272,7 @@ def test_criterion_7_unit_identities(paper_drop):
         i_own, i_oth, i_12 = random_mi_triple(rng)
         mi = MiTerms2((0, 0), i_own, i_oth, i_12)
         oracle = snd_region(mi, 0).max_symmetric(tol=1e-12)
-        worst_snd = max(worst_snd, abs(_snd_at_receiver(i_own, i_oth, i_12) - oracle))
+        worst_snd = max(worst_snd, abs(rate_snd(mi_table(i_own, i_oth, i_12))[0] - oracle))
     ok &= worst_snd < 1e-9
     msgs.append(f"snd vs bisection {worst_snd:.2e}")
 

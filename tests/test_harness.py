@@ -309,9 +309,10 @@ def test_evaluate_drop_reads_each_budget_once(monkeypatch, paper_config):
 
 
 def test_evaluate_drop_forms_each_bound_once(monkeypatch):
-    # one capacity evaluation per receiver and decode set, plus one TIN bound
-    # per receiver, for each precoder: 2 x (2 x 3 + 2) = 16 per drop, which
-    # every scheme then reads
+    # one capacity call per precoder, over its whole table; at each M that
+    # holds 4 bounds per receiver (TIN's and the three of decoding both
+    # cells) and sentinels (0 and +inf) elsewhere: 2 x (2 x 4) = 16 bounds
+    # per drop and M, which every scheme then reads
     calls = []
     original = schemes.capacity_bits
 
@@ -324,12 +325,14 @@ def test_evaluate_drop_forms_each_bound_once(monkeypatch):
     for drop in range(3):
         calls.clear()
         _evaluate_drop(config, drop)
-        assert len(calls) == 16
+        assert len(calls) == 2
+        bounds = sum(int(np.sum((snr > 0) & np.isfinite(snr))) for snr in calls)
+        assert bounds == 16 * len(config.m_values)
 
 
 # sha256 of the CSV `pcdl sweep --config configs/reference_sweep.cfg` writes.
 # A change that moves any bit of it updates this pin and writes up why.
-REFERENCE_SWEEP_SHA256 = "be3a67f1da5a579b624dc492361e35578940f52515e5c0f841bb8b58ccc5c458"
+REFERENCE_SWEEP_SHA256 = "1d63c447ad8f8cbde607ae7ae5b4fe4c0c5e51f02d9d768f5a60ffc18537769a"
 
 
 def test_reference_sweep_csv_is_pinned(tmp_path):
@@ -374,7 +377,7 @@ def test_cli_rejects_bad_counts(tmp_path, capsys, argv, message):
     ("n_drops = 2\nradius = 400\n", "{path}: unknown sweep key: radius"),
     ("n_drops = 2\nseed = -3\n", "{path}: seed must be >= 0, got -3"),
     ("L = 3\nK = 4\nn_drops = 2\n",
-     "{path}: scheme SND covers L = 2 cells only, got L = 3"),
+     "{path}: scheme PD covers L = 2 cells only, got L = 3"),
     ("L = 1\nK = 4\nn_drops = 2\nschemes = TIN, SD\n",
      "{path}: scheme SD needs L >= 2 cells, got L = 1"),
     ("n_drops = 2\nprecoders = MRT\nm_values = 0, 16\n",
@@ -472,17 +475,18 @@ def test_sweep_config_rejects_empty_lists():
 
 
 @pytest.mark.parametrize("L, schemes, message", [
-    (3, ("TIN", "SD", "SND", "PD"), "scheme SND covers L = 2 cells only, got L = 3"),
+    (3, ("TIN", "SD", "SND", "PD"), "scheme PD covers L = 2 cells only, got L = 3"),
     (3, ("TIN", "PD"), "scheme PD covers L = 2 cells only, got L = 3"),
     (1, ("TIN", "SD"), "scheme SD needs L >= 2 cells, got L = 1"),
-    (1, ("SND",), "scheme SND covers L = 2 cells only, got L = 1"),
+    (1, ("SND",), "scheme SND needs L >= 2 cells, got L = 1"),
 ])
 def test_sweep_config_rejects_schemes_the_cells_cannot_run(L, schemes, message):
     with pytest.raises(ValueError, match=message):
         SweepConfig(scenario=ScenarioConfig(L=L, K=2), m_values=(8,), schemes=schemes)
 
 
-@pytest.mark.parametrize("L, schemes", [(1, ("TIN",)), (3, ("TIN", "SD"))])
+@pytest.mark.parametrize("L, schemes", [(1, ("TIN",)), (3, ("TIN", "SD")),
+                                        (3, ("TIN", "SD", "SND"))])
 def test_sweep_runs_every_scheme_its_cells_allow(L, schemes):
     cfg = SweepConfig(scenario=ScenarioConfig(L=L, K=2, n_drops=2), m_values=(8,),
                       schemes=schemes)

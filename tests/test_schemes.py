@@ -9,12 +9,12 @@ from pcdl.geometry import build_scenario
 from pcdl.harness import DEFAULT_M_VALUES
 from pcdl.rate_core import Precoder, capacity_bits, link_budget, power_decomposition
 from pcdl import schemes
-from pcdl.schemes import (PdSplit, _pd_symmetric_grid, _snd_at_receiver,
+from pcdl.schemes import (PdSplit, _pd_symmetric_grid, rate_sd, rate_snd, rate_tin,
                           sym_rate_pd, sym_rate_sd, sym_rate_snd, sym_rate_tin)
 from conftest import toy_scenario
 from reference import (MiTerms2, RateRegion2, RegionConstraint, c_lb, intersect,
-                       mi_terms, pd_mi_terms, pd_terms_from_budget, pd_tie_break,
-                       snd_region, tin_lb)
+                       mi_table, mi_terms, pd_mi_terms, pd_terms_from_budget,
+                       pd_tie_break, snd_region, tin_lb)
 
 
 def random_mi_triple(rng):
@@ -81,12 +81,12 @@ def test_sd_diagonal_from_scenario(paper_drop):
 
 
 def test_snd_hand_example():
-    assert _snd_at_receiver(3.0, 1.0, 3.5) == pytest.approx(2.5, rel=1e-15)
+    assert rate_snd(mi_table(3.0, 1.0, 3.5))[0] == pytest.approx(2.5, rel=1e-15)
 
 
 def test_snd_reduces_to_mac_diagonal_when_interference_strong():
     # i_oth >= i_12 / 2 turns the min-form constraint into the sum bound
-    assert _snd_at_receiver(2.0, 1.9, 3.0) == pytest.approx(1.5, rel=1e-15)
+    assert rate_snd(mi_table(2.0, 1.9, 3.0))[0] == pytest.approx(1.5, rel=1e-15)
 
 
 def test_snd_closed_form_matches_bisection_oracle():
@@ -97,20 +97,19 @@ def test_snd_closed_form_matches_bisection_oracle():
         mi = MiTerms2(receiver=(0, 0), i_1_given_2=i_own,
                       i_2_given_1=i_oth, i_12=i_12)
         oracle = snd_region(mi, own_cell=0).max_symmetric(tol=1e-12)
-        closed = _snd_at_receiver(i_own, i_oth, i_12)
+        closed = rate_snd(mi_table(i_own, i_oth, i_12))[0]
         worst = max(worst, abs(closed - oracle))
     assert worst < 1e-9
 
 
 def test_snd_dominates_tin_and_sd_closed_forms():
+    # both are reductions over the same table, so no tolerance
     rng = np.random.default_rng(7)
     for _ in range(10_000):
-        i_own, i_oth, i_12 = random_mi_triple(rng)
-        snd = _snd_at_receiver(i_own, i_oth, i_12)
-        tin = i_12 - i_oth  # same bound written as a log ratio
-        sd = min(i_own, i_oth, i_12 / 2)
-        assert snd >= tin - 1e-12
-        assert snd >= sd - 1e-12
+        b = mi_table(*random_mi_triple(rng))
+        snd = rate_snd(b)[0]
+        assert snd >= rate_tin(b)[0]
+        assert snd >= rate_sd(b)[0]
 
 
 def test_snd_network_value_and_region_intersection(paper_drop):
@@ -372,22 +371,14 @@ def test_containment_chain_every_drop(paper_config):
                 assert 0.0 <= sd and math.isfinite(pd)
 
 
-def test_snd_floor_rejects_a_real_deficit(monkeypatch, paper_drop):
-    # on drop 0 the SND region's best point is the TIN point, so the floor
-    # only absorbs rounding; a value 1e-9 bits low must raise, not be floored
+def test_snd_is_tin_exactly_where_decoding_does_not_pay(paper_drop):
+    # on drop 0 the SND region's best point is the TIN point: the reduction
+    # picks D = {l}, TIN's own bound, so the two agree bit for bit
     scenario, stats = paper_drop
     M, prec = 256, Precoder.ZF
     mi = mi_terms(scenario, stats, M, prec, 0, 0)
-    r = _snd_at_receiver(mi.i_1_given_2, mi.i_2_given_1, mi.i_12)
-    assert abs(r - tin_lb(scenario, stats, M, prec, (0, 0))) <= 1e-12
-    sym_rate_snd(scenario, stats, M, prec, 0)
-
-    original = schemes._snd_at_receiver
-    monkeypatch.setattr(schemes, "_snd_at_receiver",
-                        lambda *args: original(*args) - 1e-9)
-    with pytest.raises(ArithmeticError, match=r"SND is 1e-09 bits below TIN at "
-                       r"M=256, ZF, receiver \(1,1\)"):
-        sym_rate_snd(scenario, stats, M, prec, 0)
+    assert mi.i_2_given_1 < mi.i_12 / 2  # the interferer is too weak to decode
+    assert sym_rate_snd(scenario, stats, M, prec, 0) == sym_rate_tin(scenario, stats, M, prec, 0)
 
 
 def test_pd_corner_floor_rejects_a_real_deficit(monkeypatch, paper_drop):
@@ -435,7 +426,7 @@ def test_three_cell_sums_stay_compensated():
     tiny = 1e-16
     S = np.array([[[4.0, tiny, tiny], [tiny, 4.0, tiny], [tiny, tiny, 4.0]]])
     b = schemes.Budgets(S, np.ones(3), Precoder.MRT, (64,), 0,
-                        *schemes.bound_table(S, np.ones(3)))
+                        schemes.bound_table(S, np.ones(3)))
     den = math.fsum([1.0, tiny, tiny])
     assert den != (1.0 + tiny) + tiny
     assert schemes.rate_tin(b)[0] == capacity_bits(4.0 / den)
@@ -460,8 +451,10 @@ def test_three_cell_tin_equals_the_reference_bound(paper_config):
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_bound_table_equals_the_reference_bounds(paper_config, L):
-    # every entry of the table Budgets.of fills, in decode_sets(L) order,
-    # against the scalar route of one receiver, one M and one decode set
+    # every bound Budgets.of fills, in decode_sets(L) order, against the
+    # scalar route of one receiver, one M and one decode set: G[m, l, d, t]
+    # = C(S_T / (N_l + S_{not D})) / |T| for l in D and T in D; cells outside
+    # D hold 0 and subsets outside D +inf
     from dataclasses import replace
     config = replace(paper_config, L=L)
     sets = schemes.decode_sets(L)
@@ -470,13 +463,22 @@ def test_bound_table_equals_the_reference_bounds(paper_config, L):
         stats = compute_alpha(scenario)
         for prec in (Precoder.MRT, Precoder.ZF):
             b = schemes.Budgets.of(scenario, stats, DEFAULT_M_VALUES, prec, 0)
-            assert b.C.shape == (len(DEFAULT_M_VALUES), L, len(sets))
-            assert b.tin.shape == (len(DEFAULT_M_VALUES), L)
+            assert b.G.shape == (len(DEFAULT_M_VALUES), L, len(sets), len(sets))
             for m, M in enumerate(DEFAULT_M_VALUES):
                 for l in range(L):
                     receiver = (0, l)
-                    assert b.tin[m, l] == tin_lb(scenario, stats, M, prec, receiver)
-                    for o, omega in enumerate(sets):
-                        ref = c_lb(power_decomposition(scenario, stats, M, prec,
-                                                       receiver, omega))
-                        assert b.C[m, l, o] == ref, (drop, prec, M, l, omega)
+                    assert b.G[m, l, l, l] == tin_lb(scenario, stats, M, prec, receiver)
+                    for d, D in enumerate(sets):
+                        outside = [power_decomposition(scenario, stats, M, prec, receiver,
+                                                       (j,)).p1
+                                   for j in range(L) if j not in D]
+                        for t, T in enumerate(sets):
+                            if l not in D:
+                                assert b.G[m, l, d, t] == 0.0
+                            elif not set(T) <= set(D):
+                                assert b.G[m, l, d, t] == np.inf
+                            else:
+                                pd = power_decomposition(scenario, stats, M, prec, receiver, T)
+                                noise = math.fsum([pd.noise] + outside)
+                                ref = c_lb(replace(pd, noise=noise)) / len(T)
+                                assert b.G[m, l, d, t] == ref, (drop, prec, M, l, D, T)

@@ -80,8 +80,9 @@ def test_perfbench_pcdl_names_resolve(script):
 
 @pytest.mark.parametrize("L, schemes, n_drops", [
     (2, ("TIN", "SD", "SND", "PD"), 2),
-    # TIN and SD recomputed from beta without pcdl's rate code, at three cells
-    (3, ("TIN", "SD"), 3),
+    # TIN and SD recomputed from beta without pcdl's rate code, and SND held
+    # to max(TIN, SD), at three cells
+    (3, ("TIN", "SD", "SND"), 3),
 ], ids=["L2", "L3"])
 def test_benchmark_checks_pass_on_a_small_reference_sweep(tmp_path, L, schemes, n_drops):
     config = load_sweep_config(str(REFERENCE_CONFIG))
