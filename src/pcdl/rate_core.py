@@ -126,12 +126,16 @@ def _normalization(scenario: NetworkScenario, stats: EstimationStats, M: int,
     return (m / K) * sums if precoder is Precoder.MRT else sums / (K * m)
 
 
-def _noise(scenario: NetworkScenario, stats: EstimationStats,
-           precoder: Precoder, i: int) -> np.ndarray:
-    """N at every receiver (i, l), shape (L,); it does not depend on M."""
+def _noise(scenario: NetworkScenario, precoder: Precoder, i: int) -> np.ndarray:
+    """N at every receiver (i, l), shape (L,); it does not depend on M. ZF
+    forms 1 - sqrt(rho_p) alpha_jil as (1 + rho_p sum_{l' != l} beta_jil') /
+    D_ji, D_ji = 1 + rho_p sum_l' beta_jil': a ratio of positive sums, where
+    the difference cancels as sqrt(rho_p) alpha_jil nears 1."""
     beta = scenario.beta[:, i, :]                      # (j, l)
     if precoder is Precoder.ZF:
-        beta = beta * (1.0 - math.sqrt(scenario.rho_p) * stats.alpha[:, i, :])
+        others = np.where(np.eye(len(beta), dtype=bool), 0.0, beta[:, None, :]).sum(axis=2)
+        D = 1.0 + scenario.rho_p * beta.sum(axis=1)
+        beta = beta * (1.0 + scenario.rho_p * others) / D[:, None]
     K = scenario.users_per_cell
     return np.array([1.0 + scenario.rho_d * K * math.fsum(b) for b in beta.T])
 
@@ -151,7 +155,7 @@ def link_budgets(scenario: NetworkScenario, stats: EstimationStats,
     else:
         coef = cross / scenario.beta[own, i, own]
     S1 = scenario.rho_d * scenario.users_per_cell * coef ** 2 / _user_sums(stats, precoder)
-    return S1, _noise(scenario, stats, precoder, i)
+    return S1, _noise(scenario, precoder, i)
 
 
 def _budget_at(scenario: NetworkScenario, stats: EstimationStats, M: int,

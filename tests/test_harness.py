@@ -332,7 +332,7 @@ def test_evaluate_drop_forms_each_bound_once(monkeypatch):
 
 # sha256 of the CSV `pcdl sweep --config configs/reference_sweep.cfg` writes.
 # A change that moves any bit of it updates this pin and writes up why.
-REFERENCE_SWEEP_SHA256 = "1d63c447ad8f8cbde607ae7ae5b4fe4c0c5e51f02d9d768f5a60ffc18537769a"
+REFERENCE_SWEEP_SHA256 = "de5d4c10976218cf8edf76dd231899a65bb659f521a1c7ac26f4a42d34ca30ad"
 
 
 def test_reference_sweep_csv_is_pinned(tmp_path):
