@@ -11,8 +11,9 @@ None of this is on a path `sweep`, `verify` or `scenario` runs:
   operation order `rate_core.link_budgets` and `rate_core.m_eff` keep
   (`unit_budget_per_cell`, `theta_per_cell`);
 - the unit-M_eff budget in 50-digit decimal arithmetic from the float
-  inputs (`exact_unit_budget`), and the distance of a float from it in
-  ulps (`ulps`);
+  inputs (`exact_unit_budget`), the distance of a float from it in ulps
+  (`ulps`), and the 2-cell TIN, SD and SND rates it gives, by the 2-cell
+  closed forms in the same arithmetic (`exact_rates_2cell`);
 - the term-by-term power split of a decode set (`PowerTerms`,
   `power_decomposition_mrt`, `power_decomposition_zf`, `power_terms`), the
   route the closed-form noise of `rate_core.link_budget` is checked against,
@@ -195,6 +196,41 @@ def exact_unit_budget(scenario: NetworkScenario, precoder: Precoder,
 def ulps(value: float, exact: decimal.Decimal) -> float:
     """|value - exact| in units of the last place of value."""
     return float(abs(decimal.Decimal(value) - exact) / decimal.Decimal(math.ulp(value)))
+
+
+def exact_rates_2cell(scenario: NetworkScenario, precoder: Precoder, i: int,
+                      m_values, digits: int = 50) -> dict:
+    """{"TIN", "SD", "SND"}: the symmetric rates of the 2-cell receivers
+    (i, 0), (i, 1) at every M in m_values, as `Decimal`, from
+    `exact_unit_budget` with Decimal.ln. Per receiver, with i_own, i_oth and
+    i_12 the bounds C(S_T / N) of the own cell, the other and both:
+    TIN C(S_own / (N + S_oth)), SD min(i_own, i_oth, i_12 / 2) and SND
+    min(i_own, i_12 - min(i_oth, i_12 / 2)), the largest R with R <= i_own
+    and R + min(R, i_oth) <= i_12; each the worse receiver's."""
+    if scenario.n_cells != 2:
+        raise ValueError("the closed forms cover the 2-cell system")
+    S1, N = exact_unit_budget(scenario, precoder, i, digits)
+    K = scenario.users_per_cell
+    rates = {"TIN": [], "SD": [], "SND": []}
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        ln2 = decimal.Decimal(2).ln()
+
+        def cap(snr):
+            return (1 + snr).ln() / ln2
+
+        for M in m_values:
+            m = decimal.Decimal(M if precoder is Precoder.MRT else M - K)
+            per = {key: [] for key in rates}
+            for l in range(2):
+                own, oth = m * S1[l][l], m * S1[l][1 - l]
+                i_own, i_oth, i_12 = cap(own / N[l]), cap(oth / N[l]), cap((own + oth) / N[l])
+                per["TIN"].append(cap(own / (N[l] + oth)))
+                per["SD"].append(min(i_own, i_oth, i_12 / 2))
+                per["SND"].append(min(i_own, i_12 - min(i_oth, i_12 / 2)))
+            for key in rates:
+                rates[key].append(min(per[key]))
+    return rates
 
 
 # --- term-by-term power split ----------------------------------------------
