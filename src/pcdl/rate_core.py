@@ -134,8 +134,8 @@ def _noise(scenario: NetworkScenario, precoder: Precoder, i: int) -> np.ndarray:
     beta = scenario.beta[:, i, :]                      # (j, l)
     if precoder is Precoder.ZF:
         others = np.where(np.eye(len(beta), dtype=bool), 0.0, beta[:, None, :]).sum(axis=2)
-        D = 1.0 + scenario.rho_p * beta.sum(axis=1)
-        beta = beta * (1.0 + scenario.rho_p * others) / D[:, None]
+        D = 1.0 + scenario.rho_p * beta.sum(axis=1, keepdims=True)
+        beta = beta * (1.0 + scenario.rho_p * others) / D
     K = scenario.users_per_cell
     return np.array([1.0 + scenario.rho_d * K * math.fsum(b) for b in beta.T])
 

@@ -93,15 +93,15 @@ def bound_table(S: np.ndarray, N: np.ndarray) -> np.ndarray:
     T is not in D, which a max over D (bounds are >= 0) and a min over T skip."""
     L, sets = len(N), decode_sets(len(N))
     snr = np.full((L, len(sets), len(sets), len(S)), np.inf)
-    for l, n in enumerate(N):
+    for l, (n, power) in enumerate(zip(N, S.transpose(1, 2, 0))):  # power[j]: S[:, l, j]
         for d, D in enumerate(sets):
             if l not in D:
                 snr[l, d] = 0.0
                 continue
-            noise = _fsum([n] + [S[:, l, j] for j in range(L) if j not in D])
+            noise = _fsum([n] + [power[j] for j in range(L) if j not in D])
             for t, T in enumerate(sets):
-                if set(T) <= set(D):
-                    snr[l, d, t] = _fsum([S[:, l, j] for j in T]) / noise
+                if set(D).issuperset(T):
+                    snr[l, d, t] = _fsum([power[j] for j in T]) / noise
     sizes = np.array([len(T) for T in sets], dtype=float)
     return (capacity_bits(snr) / sizes[:, None]).transpose(3, 0, 1, 2)
 
