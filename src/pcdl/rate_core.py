@@ -127,12 +127,12 @@ def _normalization(scenario: NetworkScenario, stats: EstimationStats, M: int,
 
 
 def _noise(scenario: NetworkScenario, precoder: Precoder, i: int) -> np.ndarray:
-    """N at every receiver (i, l), shape (L,); it does not depend on M. ZF
-    forms 1 - sqrt(rho_p) alpha_jil as (1 + rho_p sum_{l' != l} beta_jil') /
-    D_ji, D_ji = 1 + rho_p sum_l' beta_jil': a ratio of positive sums, where
-    the difference cancels as sqrt(rho_p) alpha_jil nears 1."""
+    """N at every receiver (i, l), shape (L,); it does not depend on M."""
     beta = scenario.beta[:, i, :]                      # (j, l)
     if precoder is Precoder.ZF:
+        # 1 - sqrt(rho_p) alpha_jil as (1 + rho_p sum_{l' != l} beta_jil') / D_ji,
+        # D_ji = 1 + rho_p sum_l' beta_jil': a ratio of positive sums, where the
+        # difference cancels as sqrt(rho_p) alpha_jil nears 1
         others = np.where(np.eye(len(beta), dtype=bool), 0.0, beta[:, None, :]).sum(axis=2)
         D = 1.0 + scenario.rho_p * beta.sum(axis=1, keepdims=True)
         beta = beta * (1.0 + scenario.rho_p * others) / D
