@@ -111,9 +111,9 @@ def _snd_by_bisection(S, N, tol=1e-12):
     receivers = [list(caps(l)) for l in cells]
 
     def feasible(R):
-        return all(any(all(R <= c for c in D) for D in sets) for sets in receivers)
+        return all(any(all(R <= c for c in in_D) for in_D in per_D) for per_D in receivers)
 
-    lo, hi = 0.0, max(c for sets in receivers for D in sets for c in D)
+    lo, hi = 0.0, max(c for per_D in receivers for in_D in per_D for c in in_D)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if feasible(mid) else (lo, mid)

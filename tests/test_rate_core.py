@@ -343,11 +343,11 @@ def test_link_budgets_reject_a_bad_pilot_index(paper_drop):
 # Largest distance from the 50-digit budget, in ulps, over drops 0..19 of the
 # default config, pilot index 0, both receivers and the 10 reference M.
 # Measured maxima: S1 5.49 (MRT) and 3.31 (ZF); M_eff S1 6.49 and 3.77; N
-# 1.15 (MRT) and 2.17 (ZF, drop 18). ZF's N read 4131 ulps on drop 5 while
-# it formed 1 - sqrt(rho_p) alpha_jil, which cancels where the own link's
-# sqrt(rho_p) alpha is 0.9997; it now forms the same factor as a ratio of
-# positive sums. Each bound sits 23% (M_eff S1) to 74% (N under MRT) above
-# its maximum, N under ZF 38%.
+# 1.15 (MRT) and 2.17 (ZF, drop 18). ZF's N stays this close because
+# `rate_core._noise` forms 1 - sqrt(rho_p) alpha_jil as a ratio of positive
+# sums: the difference itself loses 4131 ulps on drop 5, where the own
+# link's sqrt(rho_p) alpha is 0.9997. Each bound sits 23% (M_eff S1) to 74%
+# (N under MRT) above its maximum, N under ZF 38%.
 EXACT_ULPS = {"S1": 8.0, "S": 8.0, "N_mrt": 2.0, "N_zf": 3.0}
 
 
